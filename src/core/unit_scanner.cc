@@ -78,20 +78,21 @@ void UnitScanner::FeedEnd(int depth) {
 }
 
 StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
-  XmlEvent xml;
-  ASSIGN_OR_RETURN(bool more, parser_.Next(&xml));
+  ASSIGN_OR_RETURN(bool more, parser_.Next(&xml_));
   if (!more) return false;
 
+  // Swap, not move, the parsed fields into the unit: xml_ takes over the
+  // unit's previous strings and vector, so both keep their capacity.
   ElementUnit& unit = event->unit;
   unit.key.clear();
   unit.name.clear();
-  unit.attributes.clear();
   unit.text.clear();
+  unit.attributes.swap(xml_.attributes);  // empty unless a start tag
   unit.run = RunHandle();
   event->children = 0;
   ++stats_.units;
 
-  switch (xml.type) {
+  switch (xml_.type) {
     case XmlEventType::kStartElement: {
       int depth = parser_.depth();  // depth after the start tag
       if (!open_.empty()) {
@@ -106,9 +107,8 @@ StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
       unit.type = UnitType::kStart;
       unit.level = depth;
       unit.seq = next_seq_++;
-      unit.key = spec_->KeyForStartTag(xml.name, xml.attributes);
-      unit.name = std::move(xml.name);
-      unit.attributes = std::move(xml.attributes);
+      unit.name.swap(xml_.name);
+      unit.key = spec_->KeyForStartTag(unit.name, unit.attributes);
 
       open_.push_back({unit.seq, 0});
       const OrderRule* rule = spec_->RuleFor(unit.name);
@@ -134,9 +134,9 @@ StatusOr<bool> UnitScanner::Next(ScanEvent* event) {
       unit.type = UnitType::kText;
       unit.level = depth + 1;  // text nodes are children
       unit.seq = next_seq_++;
-      unit.key = spec_->KeyForText(xml.text);
-      FeedText(xml.text, depth);
-      unit.text = std::move(xml.text);
+      unit.text.swap(xml_.text);
+      unit.key = spec_->KeyForText(unit.text);
+      FeedText(unit.text, depth);
       return true;
     }
     case XmlEventType::kEndElement: {

@@ -22,6 +22,7 @@
 #include "extmem/stream.h"
 #include "util/status.h"
 #include "xml/sax_parser.h"
+#include "xml/token.h"
 
 namespace nexsort {
 
@@ -81,6 +82,7 @@ class UnitScanner {
   void FeedEnd(int depth);
 
   SaxParser parser_;
+  XmlEvent xml_;  // reused across Next calls; see there
   const OrderSpec* spec_;
   uint64_t next_seq_ = 0;
   ScanStats stats_;

@@ -25,6 +25,17 @@ constexpr uint64_t kJobOverheadBlocks = 4;
 /// NexSorter rejects pinned sort grants below this.
 constexpr uint64_t kMinSortBlocks = 4;
 
+/// A terminal job keeps its status, not its documents, so the job table
+/// stays small however many jobs the daemon runs. The documents are swapped
+/// into *released, which callers declare before taking lock_ so that the
+/// buffers are freed after it is dropped: freeing a large input can unmap
+/// its pages, and no thread waiting for the lock should wait for that.
+void ReleaseInputs(JobRequest* request, JobRequest* released) {
+  released->input_text.swap(request->input_text);
+  released->input_texts.swap(request->input_texts);
+  released->updates_text.swap(request->updates_text);
+}
+
 Status WriteFileAtomic(ScratchNamespace* scratch, const std::string& staged,
                        const std::string& final_path,
                        const std::string& contents) {
@@ -278,6 +289,7 @@ void SortService::ExecutorLoop() {
   while (true) {
     QueuedJob queued;
     JobRecord* record = nullptr;
+    JobRequest released;  // outlives every guard below; see ReleaseInputs
     {
       MutexLock guard(&lock_);
       while (!ShouldStopLocked() &&
@@ -292,7 +304,7 @@ void SortService::ExecutorLoop() {
       // same lock, and grants only move at dispatch/finish, also under it.
       Status admitted = admission_.Admit(queued.job_id);
       if (!admitted.ok()) {
-        FinishJob(record, queued, admitted);
+        FinishJob(record, queued, admitted, &released);
         continue;
       }
       record->status.state = JobStatus::State::kRunning;
@@ -303,7 +315,7 @@ void SortService::ExecutorLoop() {
 
     MutexLock guard(&lock_);
     admission_.OnJobFinish(queued.job_id);
-    FinishJob(record, queued, result);
+    FinishJob(record, queued, result, &released);
   }
 }
 
@@ -421,9 +433,10 @@ Status SortService::ExecuteJob(JobRecord* record) {
 }
 
 void SortService::FinishJob(JobRecord* record, const QueuedJob& queued,
-                            const Status& result) {
+                            const Status& result, JobRequest* released) {
   scheduler_.OnComplete(queued.tenant, queued.bytes);
   record->cancel.reset();
+  ReleaseInputs(&record->request, released);
   if (result.ok()) {
     record->status.state = JobStatus::State::kDone;
   } else if (result.IsCancelled()) {
@@ -436,6 +449,19 @@ void SortService::FinishJob(JobRecord* record, const QueuedJob& queued,
   record->status.finish_seconds = NowSeconds();
   work_cv_.SignalAll();
   terminal_cv_.SignalAll();
+}
+
+uint64_t SortService::retained_input_bytes() const {
+  MutexLock guard(&lock_);
+  uint64_t bytes = 0;
+  for (const auto& [id, record] : jobs_) {
+    bytes += record->request.input_text.size() +
+             record->request.updates_text.size();
+    for (const std::string& text : record->request.input_texts) {
+      bytes += text.size();
+    }
+  }
+  return bytes;
 }
 
 StatusOr<JobStatus> SortService::GetJob(uint64_t job_id) const {
@@ -456,6 +482,7 @@ std::vector<JobStatus> SortService::ListJobs() const {
 }
 
 Status SortService::Cancel(uint64_t job_id) {
+  JobRequest released;  // freed after the guard; see ReleaseInputs
   MutexLock guard(&lock_);
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) {
@@ -466,6 +493,7 @@ Status SortService::Cancel(uint64_t job_id) {
   record->cancel_requested = true;
   if (record->status.state == JobStatus::State::kQueued &&
       scheduler_.Remove(job_id)) {
+    ReleaseInputs(&record->request, &released);
     record->status.state = JobStatus::State::kCancelled;
     record->status.error = "Cancelled: cancelled while queued";
     record->status.finish_seconds = NowSeconds();
@@ -529,6 +557,7 @@ void SortService::Drain() {
 }
 
 void SortService::Shutdown(bool cancel_inflight) {
+  std::vector<JobRequest> released;  // freed after the guard
   {
     MutexLock guard(&lock_);
     if (stopping_ && executors_.empty()) return;  // already shut down
@@ -540,6 +569,7 @@ void SortService::Shutdown(bool cancel_inflight) {
         record->cancel_requested = true;
         if (record->status.state == JobStatus::State::kQueued &&
             scheduler_.Remove(id)) {
+          ReleaseInputs(&record->request, &released.emplace_back());
           record->status.state = JobStatus::State::kCancelled;
           record->status.error = "Cancelled: service shutdown";
           record->status.finish_seconds = NowSeconds();

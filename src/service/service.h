@@ -164,6 +164,11 @@ class SortService {
                               uint64_t* retry_after_ms = nullptr);
 
   [[nodiscard]] StatusOr<JobStatus> GetJob(uint64_t job_id) const;
+
+  /// Input bytes (documents and updates) the job table still holds. Only
+  /// queued and running jobs hold any: a job drops its inputs on going
+  /// terminal.
+  [[nodiscard]] uint64_t retained_input_bytes() const;
   [[nodiscard]] std::vector<JobStatus> ListJobs() const;
 
   /// Cancel: a queued job leaves the queue immediately; a running job's
@@ -225,8 +230,11 @@ class SortService {
   [[nodiscard]] bool ShouldStopLocked() const NEXSORT_REQUIRES(lock_);
 
   /// Terminal bookkeeping under lock_: state, error, timestamps, wakeups.
+  /// The job's documents move into *released, for the caller to free
+  /// once lock_ is dropped.
   void FinishJob(JobRecord* record, const QueuedJob& queued,
-                 const Status& result) NEXSORT_REQUIRES(lock_);
+                 const Status& result, JobRequest* released)
+      NEXSORT_REQUIRES(lock_);
 
   ServiceOptions options_;
   std::unique_ptr<SortEnv> env_;

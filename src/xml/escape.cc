@@ -4,30 +4,30 @@
 
 namespace nexsort {
 
-void AppendEscapedText(std::string* out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '&': out->append("&amp;"); break;
-      case '<': out->append("&lt;"); break;
-      case '>': out->append("&gt;"); break;
-      default: out->push_back(c);
-    }
-  }
-}
-
-void AppendEscapedAttribute(std::string* out, std::string_view value) {
-  for (char c : value) {
-    switch (c) {
-      case '&': out->append("&amp;"); break;
-      case '<': out->append("&lt;"); break;
-      case '>': out->append("&gt;"); break;
-      case '"': out->append("&quot;"); break;
-      default: out->push_back(c);
-    }
-  }
-}
-
 namespace {
+
+// Append `text`, copying whole runs between special characters and
+// replacing each special character with its entity. '"' is special only in
+// attribute values.
+void AppendEscaped(std::string* out, std::string_view text, bool attribute) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    const char* run = p;
+    while (p < end && *p != '&' && *p != '<' && *p != '>' &&
+           (!attribute || *p != '"')) {
+      ++p;
+    }
+    out->append(run, p);
+    if (p == end) return;
+    switch (*p++) {
+      case '&': out->append("&amp;"); break;
+      case '<': out->append("&lt;"); break;
+      case '>': out->append("&gt;"); break;
+      default: out->append("&quot;"); break;
+    }
+  }
+}
 
 // Append the UTF-8 encoding of `cp` to *out.
 void AppendUtf8(std::string* out, uint32_t cp) {
@@ -50,17 +50,23 @@ void AppendUtf8(std::string* out, uint32_t cp) {
 
 }  // namespace
 
+void AppendEscapedText(std::string* out, std::string_view text) {
+  AppendEscaped(out, text, /*attribute=*/false);
+}
+
+void AppendEscapedAttribute(std::string* out, std::string_view value) {
+  AppendEscaped(out, value, /*attribute=*/true);
+}
+
 Status AppendUnescaped(
     std::string* out, std::string_view input,
     const std::unordered_map<std::string, std::string>* custom) {
   size_t i = 0;
-  while (i < input.size()) {
-    char c = input[i];
-    if (c != '&') {
-      out->push_back(c);
-      ++i;
-      continue;
-    }
+  while (true) {
+    size_t amp = input.find('&', i);
+    out->append(input.substr(i, amp - i));
+    if (amp == std::string_view::npos) return Status::OK();
+    i = amp;
     size_t end = input.find(';', i + 1);
     if (end == std::string_view::npos || end == i + 1) {
       return Status::ParseError("malformed entity reference");
@@ -104,7 +110,6 @@ Status AppendUnescaped(
     }
     i = end + 1;
   }
-  return Status::OK();
 }
 
 }  // namespace nexsort

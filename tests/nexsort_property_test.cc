@@ -15,8 +15,12 @@ namespace nexsort {
 namespace testing {
 namespace {
 
+// gtest lists each case with a byte dump of its SweepParam. height is 8
+// bytes wide so no padding follows it: as an int it left four bytes of
+// garbage near the front of the dump, which changed the listed test names
+// from run to run.
 struct SweepParam {
-  int height;
+  uint64_t height;
   uint64_t max_fanout;
   size_t block_size;
   uint64_t memory_blocks;
@@ -53,7 +57,7 @@ void CollectSignatures(const XmlNode& node, const std::string& parent_sig,
 TEST_P(NexSortSweep, MatchesOracleAndPreservesStructure) {
   const SweepParam& p = GetParam();
   RandomTreeGenerator generator(
-      p.height, p.max_fanout,
+      static_cast<int>(p.height), p.max_fanout,
       {.seed = p.seed, .element_bytes = 60, .key_space = 50});
   auto xml = generator.GenerateString();
   ASSERT_TRUE(xml.ok()) << xml.status().ToString();
@@ -87,7 +91,7 @@ TEST_P(NexSortSweep, MatchesOracleAndPreservesStructure) {
 
   // Sanity on the stats the benchmarks rely on.
   const NexSortStats& stats = sorter.stats();
-  EXPECT_EQ(stats.scan.max_depth, static_cast<uint64_t>(p.height));
+  EXPECT_EQ(stats.scan.max_depth, p.height);
   EXPECT_GE(stats.subtree_sorts, 1u);
   EXPECT_EQ(stats.input_bytes, xml->size());
   EXPECT_EQ(stats.output_bytes, sorted.size());
@@ -151,7 +155,7 @@ class KeyPathSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(KeyPathSweep, MatchesOracle) {
   const SweepParam& p = GetParam();
   RandomTreeGenerator generator(
-      p.height, p.max_fanout,
+      static_cast<int>(p.height), p.max_fanout,
       {.seed = p.seed, .element_bytes = 60, .key_space = 50});
   auto xml = generator.GenerateString();
   ASSERT_TRUE(xml.ok()) << xml.status().ToString();

@@ -566,6 +566,56 @@ TEST(SortService, StreamedJobCancelIsTerminalAndClean) {
   }
 }
 
+// The job table outlives its jobs (status queries), but not their inputs:
+// a daemon that ran N jobs must not hold N documents.
+TEST(SortService, TerminalJobsReleaseTheirInputs) {
+  ServiceOptions options = SmallServiceOptions();
+  options.executors = 1;
+  auto service_or = SortService::Create(std::move(options));
+  ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
+  auto& service = *service_or.value();
+
+  const std::string xml = ManyElements(200);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    JobRequest request;
+    request.order_text = "item:attr(id)n";
+    request.input_text = xml;
+    request.return_output = i % 2 == 0;
+    uint64_t job_id = 0;
+    NEX_ASSERT_OK(service.Submit(std::move(request), &job_id));
+    ids.push_back(job_id);
+  }
+  JobRequest merge;
+  merge.kind = JobRequest::Kind::kMerge;
+  merge.order_text = "*:attr(id)n";
+  merge.input_texts = {"<l><e id=\"1\"/></l>", "<l><e id=\"2\"/></l>"};
+  uint64_t merge_id = 0;
+  NEX_ASSERT_OK(service.Submit(std::move(merge), &merge_id));
+  ids.push_back(merge_id);
+  // Queue one more behind the busy executor, then cancel it while queued.
+  JobRequest queued;
+  queued.input_text = xml;
+  uint64_t queued_id = 0;
+  NEX_ASSERT_OK(service.Submit(std::move(queued), &queued_id));
+  NEX_ASSERT_OK(service.Cancel(queued_id));
+  ids.push_back(queued_id);
+
+  for (uint64_t id : ids) {
+    auto done = service.Wait(id);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_NE(done.value().state, JobStatus::State::kFailed)
+        << done.value().error;
+    EXPECT_GT(done.value().input_bytes, 0u) << "the status keeps the size";
+  }
+  EXPECT_EQ(service.retained_input_bytes(), 0u);
+  EXPECT_EQ(service.ListJobs().size(), ids.size());
+  auto output = service.TakeOutput(ids[0]);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(output.value(),
+            DirectSort(xml, "item:attr(id)n", service.env()->options()));
+}
+
 TEST(SortService, StreamRejectedForNonSortJobs) {
   auto service_or = SortService::Create(SmallServiceOptions());
   ASSERT_TRUE(service_or.ok());

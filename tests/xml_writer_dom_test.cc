@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/generator.h"
@@ -30,6 +31,42 @@ TEST(Escape, UnescapeRoundTrip) {
   std::string back;
   NEX_ASSERT_OK(AppendUnescaped(&back, escaped));
   EXPECT_EQ(back, "x<&>y\"z'");
+}
+
+// The run-appending escapers must emit exactly what escaping one character
+// at a time does, and decoding must invert them.
+TEST(Escape, MatchesPerCharacterReference) {
+  auto reference = [](std::string_view text, bool attribute) {
+    std::string out;
+    for (char c : text) {
+      switch (c) {
+        case '&': out += "&amp;"; break;
+        case '<': out += "&lt;"; break;
+        case '>': out += "&gt;"; break;
+        case '"': out += attribute ? "&quot;" : "\""; break;
+        default: out.push_back(c);
+      }
+    }
+    return out;
+  };
+  const std::string alphabet("ab &<>\"'\n;#x\0\xE2", 14);
+  Random rng(1302);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string text;
+    size_t length = rng.Uniform(40);
+    for (size_t i = 0; i < length; ++i) {
+      text.push_back(alphabet[rng.Uniform(alphabet.size())]);
+    }
+    std::string escaped = "prefix";
+    AppendEscapedText(&escaped, text);
+    EXPECT_EQ(escaped, "prefix" + reference(text, false));
+    std::string attribute;
+    AppendEscapedAttribute(&attribute, text);
+    EXPECT_EQ(attribute, reference(text, true));
+    std::string back = "prefix";
+    NEX_ASSERT_OK(AppendUnescaped(&back, attribute));
+    EXPECT_EQ(back, "prefix" + text);
+  }
 }
 
 TEST(Escape, Utf8CharacterReference) {
