@@ -4,10 +4,10 @@
 // benches, the interesting metric here is *wall clock*, so each run's
 // SortEnv stacks a Throttle layer over the memory base that pays a real
 // (slept) latency per block — on a pure memory device the CPU dominates
-// and overlap has nothing to hide. Every parallel run must produce byte-identical output;
-// the table reports the wall-time reduction against the serial baseline
-// alongside the pipeline's own counters (async spills, foreground stall,
-// background busy time).
+// and overlap has nothing to hide. Every parallel run must produce
+// byte-identical output; the table reports the wall-time reduction against
+// the serial baseline alongside the pipeline's own counters (partitioned
+// sorts, prefetched blocks).
 //
 //   bench_parallel [--json FILE] [--timeline FILE] [--sample-interval-ms N]
 //
@@ -82,8 +82,7 @@ std::string ReadBack(SortEnv* env, ByteRange range) {
 // has its own runner: the document is staged on the env's memory base and
 // the sort runs extent-to-extent through the env's throttle layer —
 // input reads, working I/O, and output writes all pay a real (slept)
-// per-block latency, which is what gives background spills and
-// prefetches something to hide. Stats come from the throttled layer
+// per-block latency, which is what gives prefetches something to hide. Stats come from the throttled layer
 // (env->physical_device(); staging and read-back bypass it).
 ParallelRun RunThrottled(SortEnv* env, ByteRange input_range,
                          NexSortOptions options) {
@@ -116,8 +115,8 @@ ParallelRun RunThrottled(SortEnv* env, ByteRange input_range,
 
 // Same arrangement for the key-path external merge sort — the
 // external-sort-heavy configuration: every document byte flows through
-// run formation and the merge, so overlapped spills and prefetched merge
-// inputs act on the bulk of the I/O instead of a slice of it.
+// run formation and the merge, so partitioned sorts and prefetched merge
+// inputs act on the bulk of the work instead of a slice of it.
 ParallelRun RunThrottledKeyPath(SortEnv* env, ByteRange input_range,
                                 KeyPathSortOptions options) {
   ParallelRun run;
@@ -196,7 +195,7 @@ int main(int argc, char** argv) {
   // parallel delta is pure scheduling. Deliberately small so the large
   // subtrees overflow it — the external-sort-heavy regime where run
   // formation spills often and merges read runs back — while the budget
-  // keeps ample room for the second buffer and the cache frames.
+  // keeps ample room for the cache frames.
   constexpr uint64_t kSortBlocks = 8;
   constexpr uint64_t kCacheFrames = 32;
   constexpr uint32_t kPrefetchDepth = 4;
@@ -223,8 +222,7 @@ int main(int argc, char** argv) {
       {"2 thr + prefetch", 2, kPrefetchDepth, kCacheFrames},
   };
   const char* kColumns =
-      "            config |  wall(s) | saved% | async | stall(s) | "
-      "busy(s) | prefetch | output";
+      "            config |  wall(s) | saved% | psorts | prefetch | output";
 
   auto print_row = [](const Config& config, const ParallelRun& run,
                       double baseline_wall, bool identical) {
@@ -232,11 +230,9 @@ int main(int argc, char** argv) {
                        ? 100.0 * (baseline_wall - run.result.wall_seconds) /
                              baseline_wall
                        : 0.0;
-    std::printf("  %16s | %8.2f | %5.1f%% | %5llu | %8.2f | %7.2f | %8llu "
-                "| %s\n",
+    std::printf("  %16s | %8.2f | %5.1f%% | %6llu | %8llu | %s\n",
                 config.label, run.result.wall_seconds, saved,
-                static_cast<unsigned long long>(run.pstats.async_spills),
-                run.pstats.spill_wait_seconds, run.pstats.spill_busy_seconds,
+                static_cast<unsigned long long>(run.pstats.parallel_sorts),
                 static_cast<unsigned long long>(run.pstats.prefetch_issued),
                 identical ? "identical" : "DIFFERS!");
   };
@@ -282,7 +278,7 @@ int main(int argc, char** argv) {
 
   // The external-sort-heavy configuration: the key-path baseline pushes
   // the whole document through one big run-formation + merge, so the
-  // overlapped pipeline acts on the bulk of the I/O.
+  // overlap mechanisms act on the bulk of the work.
   PrintHeader("Key-path merge sort overlap sweep (external-sort-heavy)",
               kColumns);
   baseline_output.clear();
@@ -318,11 +314,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nexpected shape: wall time falls as background spills hide run\n"
-      "writes behind buffer fills and prefetching hides merge-input reads\n"
-      "(target: >= 20%% combined at 2 threads; compare against the 'cache\n"
-      "only' row to separate caching from overlap). Counted I/O is\n"
-      "identical within each sweep — only the schedule changes.\n");
+      "\nexpected shape: prefetching hides merge-input reads; worker\n"
+      "threads only split the in-memory buffer sorts, so without prefetch\n"
+      "their rows match the serial row's I/O and modeled seconds (compare\n"
+      "against the 'cache only' row to separate caching from overlap).\n"
+      "Counted I/O is identical within each sweep — only the schedule\n"
+      "changes.\n");
   json_log.Write();
   return 0;
 }

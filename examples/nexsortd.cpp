@@ -15,9 +15,8 @@
 //   --retry-after-ms N    the hint handed back on rejection (default 50)
 //   --cache-blocks N      shared buffer-pool frames over the working
 //                         device (0 = off); counted against --memory-mb
-//   --threads N           worker threads per job for partitioned spill
-//                         sorts (double-buffering is always off in the
-//                         daemon so jobs stay inside their grants)
+//   --threads N           worker threads, shared by all jobs, for
+//                         partitioned spill sorts
 //   --scratch-dir DIR     working device + staged outputs live here under
 //                         crash-safe scoped names; orphans of crashed
 //                         prior instances are swept at startup

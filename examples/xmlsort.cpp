@@ -28,9 +28,8 @@
 //   --readahead N         prefetch up to N blocks ahead on sequential
 //                         scans (needs --cache-blocks; capped at half
 //                         the pool)
-//   --threads N           worker threads overlapping compute and I/O:
-//                         double-buffered run formation + partitioned
-//                         spill sorts (0 = serial, the default; output is
+//   --threads N           worker threads for partitioned spill sorts
+//                         (0 = serial, the default; output is
 //                         byte-identical either way). See
 //                         docs/PARALLELISM.md
 //   --prefetch-depth K    prefetch merge-input runs K blocks ahead per
@@ -360,10 +359,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--readahead needs --cache-blocks\n");
     return 2;
   }
-  if (prefetch_depth > 0 && cache_blocks == 0) {
-    std::fprintf(stderr, "--prefetch-depth needs --cache-blocks\n");
-    return 2;
-  }
   if (threads > 64) {
     std::fprintf(stderr, "--threads capped at 64\n");
     return 2;
@@ -417,12 +412,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
     return 1;
   }
-  FILE* output = std::fopen(output_path.c_str(), "wb");
-  if (output == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", output_path.c_str());
-    std::fclose(input);
-    return 1;
-  }
 
   std::string work_path = output_path + ".work";
   bool want_telemetry = show_stats || !stats_json_path.empty() ||
@@ -448,11 +437,24 @@ int main(int argc, char** argv) {
   if (want_telemetry) env_options.tracer = &tracer;
   auto env_or = SortEnv::Create(std::move(env_options));
   if (!env_or.ok()) {
-    std::fprintf(stderr, "cannot open working storage: %s\n",
+    // Inconsistent knobs (e.g. --prefetch-depth without --cache-blocks)
+    // are usage errors; anything else is the working storage failing.
+    const bool usage = env_or.status().IsInvalidArgument();
+    std::fprintf(stderr, "%s: %s\n",
+                 usage ? "invalid options" : "cannot open working storage",
                  env_or.status().ToString().c_str());
-    return 1;
+    return usage ? 2 : 1;
   }
   std::unique_ptr<SortEnv> env = std::move(env_or).value();
+  // Opened only once the options are known good, so a usage error never
+  // truncates an existing output file.
+  FILE* output = std::fopen(output_path.c_str(), "wb");
+  if (output == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", output_path.c_str());
+    std::fclose(input);
+    std::remove(work_path.c_str());
+    return 1;
+  }
 
   if (!timeline_out_path.empty()) {
     JsonWriter env_json;
@@ -622,16 +624,12 @@ int main(int argc, char** argv) {
     if (threads > 0 || prefetch_depth > 0) {
       ParallelStats par = sorter.parallel_stats();
       std::fprintf(stderr,
-                   "parallel: %llu threads, %llu async / %llu sync spills "
-                   "(%llu declined), %llu partitioned sorts, "
-                   "%llu prefetched blocks, spill wait %.3f s / busy %.3f s\n",
+                   "parallel: %llu threads, %llu spills, "
+                   "%llu partitioned sorts, %llu prefetched blocks\n",
                    static_cast<unsigned long long>(threads),
-                   static_cast<unsigned long long>(par.async_spills),
                    static_cast<unsigned long long>(par.sync_spills),
-                   static_cast<unsigned long long>(par.double_buffer_declined),
                    static_cast<unsigned long long>(par.parallel_sorts),
-                   static_cast<unsigned long long>(par.prefetch_issued),
-                   par.spill_wait_seconds, par.spill_busy_seconds);
+                   static_cast<unsigned long long>(par.prefetch_issued));
     }
   }
 

@@ -2,8 +2,10 @@
 """Validate xmlsort's Chrome Trace Event export.
 
 Generates a document large enough that a parallel (--threads 2) cached run
-spills runs and engages the worker threads, sorts it with --chrome-trace +
---timeline-out, and asserts the trace is well-formed Trace Event JSON:
+spills runs and partitions its buffer sorts across the worker threads,
+sorts it with --chrome-trace + --timeline-out + --stats-json, checks that
+the stats report parallel_sorts > 0, and asserts the trace is well-formed
+Trace Event JSON:
 
   - the file is one JSON array that json.load accepts;
   - every event has a known phase; every "B" has a matching "E" on the
@@ -40,10 +42,11 @@ FAILURES = schema.FAILURES
 KNOWN_PHASES = {"M", "X", "C", "i", "B", "E"}
 
 
-def make_input(path, elements=4000):
-    """A flat document of shuffled numeric ids: big enough (hundreds of KB)
-    that small blocks + a small budget force external sorting, which is
-    what sends spill work to the worker threads."""
+def make_input(path, elements=20000):
+    """A flat document of shuffled numeric ids: big enough (over a MB) that
+    small blocks + a small budget force external sorting, with buffers
+    large enough that each spill's sort is partitioned across the worker
+    threads."""
     ids = list(range(elements))
     random.seed(7)
     random.shuffle(ids)
@@ -168,20 +171,22 @@ def main():
         output_path = workdir / "sorted.xml"
         trace_path = workdir / "chrome-trace.json"
         timeline_path = workdir / "timeline.jsonl"
+        stats_path = workdir / "stats.json"
         sample_interval_ms = 2
 
-        # Small blocks plus a pinned 8-block sort allowance force the big
-        # flat element list through external merge sort; --threads 2 runs
-        # spill sorting on the workers, which is what puts spans on
-        # worker lanes.
+        # Small blocks plus a pinned 128-block sort allowance force the big
+        # flat element list through external merge sort in buffers of
+        # thousands of records; --threads 2 partitions each buffer's sort
+        # across the workers, which is what puts spans on worker lanes.
         command = [
             args.xmlsort, "--numeric",
             "--block-kb", "4", "--memory-mb", "1",
-            "--sort-memory-blocks", "8",
+            "--sort-memory-blocks", "128",
             "--cache-blocks", "32", "--threads", "2",
             "--sample-interval-ms", str(sample_interval_ms),
             "--chrome-trace", str(trace_path),
             "--timeline-out", str(timeline_path),
+            f"--stats-json={stats_path}",
             "--check",
             str(input_path), str(output_path),
         ]
@@ -194,6 +199,13 @@ def main():
 
         check_chrome_trace(trace_path)
         schema.check_timeline(timeline_path, sample_interval_ms)
+        try:
+            stats = json.loads(stats_path.read_text())
+        except (OSError, json.JSONDecodeError) as err:
+            check(False, f"cannot parse {stats_path}: {err}")
+        else:
+            schema.check_parallel_metrics(stats.get("telemetry", {}),
+                                          expect_parallel_sorts=True)
 
     if FAILURES:
         for failure in FAILURES:

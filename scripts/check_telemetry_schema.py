@@ -160,11 +160,8 @@ def check_no_hit_rate_gauge(telemetry):
           "(must be absent when there were zero accesses)")
 
 
-PARALLEL_COUNTER_KEYS = ("async_spills", "sync_spills",
-                         "double_buffer_declined", "parallel_sorts",
-                         "sort_partitions", "prefetch_issued",
-                         "prefetch_declined", "spill_wait_seconds",
-                         "spill_busy_seconds")
+PARALLEL_COUNTER_KEYS = ("sync_spills", "parallel_sorts", "sort_partitions",
+                         "prefetch_issued")
 
 
 def check_parallel(parallel, parallel_enabled):
@@ -182,17 +179,24 @@ def check_parallel(parallel, parallel_enabled):
               or parallel.get("prefetch_depth", 0) > 0,
               "stats.parallel: enabled without threads or prefetch_depth")
     else:
-        for key in ("async_spills", "parallel_sorts", "prefetch_issued"):
+        for key in ("parallel_sorts", "prefetch_issued"):
             check(counters.get(key) == 0,
                   f"stats.parallel.counters: '{key}' non-zero while serial")
 
 
-def check_parallel_metrics(telemetry):
-    """With the pipeline on, parallel_* counters must reach the export."""
+def check_parallel_metrics(telemetry, expect_parallel_sorts=False):
+    """With the pipeline on, parallel_* counters must reach the export.
+
+    `expect_parallel_sorts`: the document was large enough for a worker
+    run to partition its buffer sorts, so `parallel_sorts` must be > 0.
+    """
     counters = telemetry.get("metrics", {}).get("counters", {})
-    for name in ("parallel_async_spills", "parallel_sync_spills",
+    for name in ("parallel_sync_spills", "parallel_sorts",
                  "parallel_prefetch_issued"):
         check(name in counters, f"telemetry: missing counter '{name}'")
+    if expect_parallel_sorts:
+        check(counters.get("parallel_sorts", 0) > 0,
+              "telemetry: parallel_sorts is 0 on a worker-thread run")
 
 
 ENV_KEYS = ("block_size", "memory_blocks", "device", "layers",

@@ -103,7 +103,6 @@ CANONICAL_HEADER = {
     "JsonWriter": "obs/json_writer.h",
     "MetricsRegistry": "obs/metrics.h",
     "WorkerPool": "parallel/worker_pool.h",
-    "AsyncSpiller": "parallel/async_spiller.h",
     "BoundedQueue": "parallel/bounded_queue.h",
     "RunPrefetcher": "parallel/run_prefetcher.h",
     "SortEnv": "env/sort_env.h",

@@ -40,7 +40,6 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
   /// here eagerly; the *final* merge is what streams.
   [[nodiscard]] Status Init(ByteSource* input) {
     KeyPathXmlSorter* owner = owner_;
-    const SortEnvOptions& env_options = owner->session_.env()->options();
     UnitScanner scanner(input, &owner->options_.order);
     ExtSortOptions sort_options;
     uint64_t sort_blocks = owner->budget_->available_blocks();
@@ -51,12 +50,6 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
             "sort_memory_blocks must be in [4, available blocks]");
       }
       sort_blocks = pinned_sort_blocks;
-    } else if (env_options.parallel.threads > 0 &&
-               env_options.parallel.double_buffer) {
-      // Auto mode with double buffering: grant roughly half the remaining
-      // budget so the second sort buffer (and its spill writer) actually fit
-      // and overlap engages instead of being declined.
-      sort_blocks = std::max<uint64_t>(4, (sort_blocks + 1) / 2);
     }
     sort_options.memory_blocks = sort_blocks;
     sort_options.run_formation = owner->options_.run_formation;

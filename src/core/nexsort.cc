@@ -509,12 +509,6 @@ StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortStream(
           "sort_memory_blocks must be in [4, available - 3 stack blocks]");
     }
     sort_blocks = pinned_sort_blocks;
-  } else if (env_options.parallel.threads > 0 &&
-             env_options.parallel.double_buffer) {
-    // Auto mode with double buffering: grant roughly half the remaining
-    // budget so the second sort buffer (and its spill writer) actually fit
-    // and overlap engages instead of being declined.
-    sort_blocks = std::max<uint64_t>(4, (sort_blocks + 1) / 2);
   }
   sort_capacity_ = (sort_blocks - 1) * device_->block_size();
   // Fragmentation must leave the end-tag region inside the internal sort

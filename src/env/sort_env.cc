@@ -97,6 +97,10 @@ StatusOr<std::unique_ptr<SortEnv>> SortEnv::Create(SortEnvOptions options) {
     return Status::InvalidArgument(
         "SortEnv: cache.readahead needs cache.frames > 0");
   }
+  if (options.cache.frames == 0 && options.parallel.prefetch_depth > 0) {
+    return Status::InvalidArgument(
+        "SortEnv: parallel.prefetch_depth needs cache.frames > 0");
+  }
   if (options.cache.frames > 0 && options.cache.frames >= options.memory_blocks) {
     return Status::InvalidArgument(
         "SortEnv: cache.frames must leave budget blocks for the sort itself");

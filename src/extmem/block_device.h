@@ -51,7 +51,7 @@ struct DiskModel {
 };
 
 /// Counters maintained by every BlockDevice. Fields are atomics so
-/// background spill/prefetch threads can account I/O concurrently with the
+/// prefetch threads and concurrent jobs can account I/O alongside the
 /// foreground; copies take a relaxed per-field snapshot (fields are mutually
 /// consistent only when the device is quiescent, which is when benchmarks
 /// and stats exporters read them).
@@ -98,8 +98,8 @@ const char* IoCategoryName(IoCategory category);
 ///
 /// Thread-safe: counters are atomic and the sequentiality/failure-injection
 /// state sits behind a small mutex that is never held across the actual
-/// storage transfer, so concurrent I/O from background spill and prefetch
-/// threads overlaps. The category *scope* (SetCategory/IoCategoryScope) is
+/// storage transfer, so concurrent I/O from prefetch threads and
+/// concurrent jobs overlaps. The category *scope* (SetCategory/IoCategoryScope) is
 /// still a single-threaded convenience — concurrent threads must use the
 /// explicit-category Read/Write overloads so attribution cannot race.
 class BlockDevice {

@@ -17,8 +17,8 @@ namespace {
 /// BlockDevice accounting mutex is released around DoRead/DoWrite), so N
 /// concurrent accesses overlap their waits like requests queued on an SSD.
 /// This is what lets the overlap benchmarks demonstrate wall-clock wins on
-/// a single-core host: the background spiller's I/O waits run concurrently
-/// with foreground parsing/encoding.
+/// a single-core host: the run prefetcher's I/O waits run concurrently
+/// with the foreground merge.
 class ThrottledBlockDevice final : public BlockDevice {
  public:
   ThrottledBlockDevice(BlockDevice* base, ThrottleModel model)

@@ -17,8 +17,8 @@ namespace nexsort {
 /// Tracks block-granular memory use against a hard cap of M blocks.
 ///
 /// Thread-safe: Acquire's check-then-add is one critical section (the
-/// paper's hard cap must hold exactly even when a background spiller and
-/// the foreground reserve concurrently), while the accessors read atomic
+/// paper's hard cap must hold exactly even when concurrent jobs, the
+/// prefetcher and the cache reserve at once), while the accessors read atomic
 /// mirrors without taking the lock.
 class MemoryBudget {
  public:

@@ -233,10 +233,8 @@ Status RunWriter::Finish(RunHandle* handle) {
     store_->DcheckBalancedLocked();
   }
   reservation_.Reset();
-  if (!suppress_trace_) {
-    TraceRunEvent(store_->tracer_, RunEventKind::kCreated, category_,
-                  byte_size_, handle->id);
-  }
+  TraceRunEvent(store_->tracer_, RunEventKind::kCreated, category_,
+                byte_size_, handle->id);
   return Status::OK();
 }
 

@@ -9,13 +9,12 @@
 // access is counted. Freed runs return their blocks to a free list so
 // multi-pass external sorts have bounded device footprint.
 //
-// Thread-safety: the run table and free list sit behind a mutex, so a
-// background spiller can finish runs while the foreground opens or frees
-// others. A run is immutable once Finished; RunReader therefore snapshots
-// its block index at open so reads never chase the growing run table.
-// Trace events still go to the single-threaded Tracer — writers running on
-// background threads must set_suppress_trace() and let the foreground emit
-// the created-event after it observes completion.
+// Thread-safety: the run table and free list sit behind a mutex, and the
+// lifetime counters are atomics the telemetry sampler reads while the job
+// runs. A run is immutable once Finished; RunReader therefore snapshots its
+// block index at open so reads never chase the growing run table. Trace
+// events go to the single-threaded Tracer, so runs are finished and freed
+// on the job's foreground thread.
 #pragma once
 
 #include <atomic>
@@ -110,8 +109,8 @@ class RunStore {
   }
 
   /// Lifetime/live run accounting (atomics: safe from the telemetry
-  /// sampler and the session-stats scope while a background spiller is
-  /// still finishing runs).
+  /// sampler and the session-stats scope while the job is still finishing
+  /// runs).
   uint64_t runs_created() const {
     return runs_created_.load(std::memory_order_relaxed);
   }
@@ -179,11 +178,6 @@ class RunWriter final : public ByteSink {
 
   uint64_t bytes_written() const { return byte_size_; }
 
-  /// Skip the kCreated trace event in Finish. Required when Finish runs on
-  /// a background thread (the Tracer is single-threaded); the owner emits
-  /// the event from the foreground once it observes the handle.
-  void set_suppress_trace(bool suppress) { suppress_trace_ = suppress; }
-
  private:
   friend class RunStore;
   RunWriter(RunStore* store, IoCategory category, PlacementHint hint);
@@ -204,7 +198,6 @@ class RunWriter final : public ByteSink {
   uint64_t byte_size_ = 0;
   std::string buffer_;
   bool finished_ = false;
-  bool suppress_trace_ = false;
 };
 
 /// Crash-safe scratch-file hygiene for long-lived processes (nexsortd,

@@ -27,7 +27,7 @@
 // behind a mutex, and every SpanRecord carries the small dense `tid` of
 // the thread that opened it — that is what gives the Chrome-trace export
 // one lane per worker thread. Begin/EndSpan are therefore safe from
-// background spill workers; run events, histogram recording, and the
+// worker threads (partitioned sorts); run events, histogram recording, and the
 // exporters remain foreground-only (call them after background work has
 // drained).
 #pragma once

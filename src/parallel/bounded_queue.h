@@ -1,6 +1,6 @@
 // Bounded blocking queue: the hand-off primitive between the foreground
-// pipeline and its background workers (spiller jobs, worker-pool tasks,
-// prefetch requests). Capacity is fixed at construction so a fast producer
+// pipeline and its background workers (worker-pool tasks, prefetch
+// requests). Capacity is fixed at construction so a fast producer
 // exerts back-pressure instead of queueing unbounded work — the memory
 // discipline everywhere else in this repo (MemoryBudget) would be defeated
 // by an unbounded task list. Safe for any number of producers/consumers

@@ -1,11 +1,9 @@
 // ParallelOptions/ParallelStats/ParallelContext: the configuration knob,
-// the counters, and the shared worker-pool handle for the overlapped sort
-// pipeline (double-buffered run formation, partitioned spill sorting,
+// the counters, and the shared worker-pool handle for the two overlap
+// mechanisms of the sort pipeline (partitioned buffer sorts and
 // merge-input prefetching). Everything defaults *off* — `threads == 0`
-// reproduces the serial pipeline exactly — and every engagement point
-// degrades gracefully, recording why it declined instead of failing, so
-// output bytes and logical I/O counts are identical whether or not the
-// pipeline actually overlapped.
+// reproduces the serial pipeline exactly — and output bytes and logical
+// I/O counts are identical whether or not either mechanism engaged.
 #pragma once
 
 #include <cstdint>
@@ -19,15 +17,12 @@ namespace nexsort {
 class JsonWriter;
 class Tracer;
 
-/// Concurrency knobs, carried by ExtSortOptions / NexSortOptions /
-/// KeyPathSortOptions. Defaults keep the pipeline serial.
+/// Concurrency knobs, carried by SortEnvOptions. Defaults keep the
+/// pipeline serial.
 struct ParallelOptions {
   /// Background worker threads. 0 = fully serial (the default): no pool,
-  /// no background spills, no parallel sort partitions.
+  /// no parallel sort partitions.
   uint32_t threads = 0;
-  /// Allow double-buffered run formation when the MemoryBudget can afford
-  /// a second sort buffer. Only meaningful with threads > 0.
-  bool double_buffer = true;
   /// Merge-input prefetch distance in blocks per source. 0 disables the
   /// RunPrefetcher. Needs a BufferPool (cache frames) to hold the blocks.
   uint32_t prefetch_depth = 0;
@@ -37,20 +32,21 @@ struct ParallelOptions {
   bool enabled() const { return threads > 0 || prefetch_depth > 0; }
 };
 
-/// Counters describing what the parallel pipeline actually did — how many
-/// spills overlapped, why double-buffering was declined, how much of the
-/// wall clock the foreground spent stalled on background work. Plain
+/// Counters describing what the parallel pipeline actually did. Plain
 /// fields: aggregate copies are exchanged under the ParallelContext lock.
 struct ParallelStats {
-  uint64_t async_spills = 0;   // spills executed on a worker
-  uint64_t sync_spills = 0;    // spills executed inline (serial path)
-  uint64_t double_buffer_declined = 0;  // budget couldn't fund 2nd buffer
+  uint64_t sync_spills = 0;        // runs spilled by run formation
   uint64_t parallel_sorts = 0;     // buffer sorts partitioned across pool
   uint64_t sort_partitions = 0;    // total partitions across those sorts
   uint64_t prefetch_issued = 0;    // blocks pushed by RunPrefetcher
-  uint64_t prefetch_declined = 0;  // merge phases without pool/depth
-  double spill_wait_seconds = 0.0;  // foreground blocked on spiller
-  double spill_busy_seconds = 0.0;  // background busy in spill jobs
+
+  // Spills no longer run in the background, so these stay 0. They remain
+  // only because the real-file benchmark runner still reads them; nothing
+  // sets or emits them.
+  uint64_t async_spills = 0;
+  uint64_t double_buffer_declined = 0;
+  double spill_wait_seconds = 0.0;
+  double spill_busy_seconds = 0.0;
 
   void MergeFrom(const ParallelStats& other);
 
@@ -83,9 +79,9 @@ class ParallelContext {
   /// Aggregate snapshot.
   ParallelStats stats() const;
 
-  /// Export parallel_* counters and overlap-time gauges into the tracer's
-  /// metrics registry. Foreground-thread only (the Tracer is
-  /// single-threaded); call once after the pipeline drains.
+  /// Export parallel_* counters into the tracer's metrics registry.
+  /// Foreground-thread only (the Tracer is single-threaded); call once
+  /// after the pipeline drains.
   void PublishMetrics(Tracer* tracer) const;
 
  private:

@@ -1,8 +1,7 @@
 // Fixed-size worker pool over a bounded task queue. Deliberately minimal:
 // the sort pipeline needs "run this closure eventually, with back-pressure
 // when workers fall behind", not futures or work stealing. Results and
-// errors travel through the closures themselves (see AsyncSpiller for the
-// ordered, error-sticky variant the spill path uses).
+// errors travel through the closures themselves.
 #pragma once
 
 #include <atomic>

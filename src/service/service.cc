@@ -171,11 +171,6 @@ StatusOr<std::unique_ptr<SortService>> SortService::Create(
         " exceeds the per-job grant of " + std::to_string(grant) +
         " minus " + std::to_string(kJobOverheadBlocks) + " overhead blocks");
   }
-  // Opportunistic double buffering grabs a second sort buffer beyond the
-  // grant when the budget momentarily has room — room that belongs to
-  // another job's entitlement here. Keep concurrent jobs inside their
-  // grants.
-  options.env.parallel.double_buffer = false;
 
   uint64_t swept = 0;
   std::unique_ptr<ScratchNamespace> scratch;

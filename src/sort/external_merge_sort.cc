@@ -9,7 +9,6 @@
 #include "extmem/memory_budget.h"
 #include "extmem/stream.h"
 #include "obs/tracer.h"
-#include "parallel/async_spiller.h"
 #include "parallel/run_prefetcher.h"
 #include "parallel/worker_pool.h"
 #include "sort/replacement_selection.h"
@@ -93,7 +92,6 @@ ExternalMergeSorter::ExternalMergeSorter(RunStore* store,
       former_options.capacity_bytes = buffer_capacity_;
       former_options.temp_category = options_.temp_category;
       former_options.tracer = options_.tracer;
-      former_options.parallel = options_.parallel;
       former_options.cancel = options_.cancel;
       former_ = std::make_unique<ReplacementSelectionFormer>(
           store_, former_options);
@@ -102,9 +100,6 @@ ExternalMergeSorter::ExternalMergeSorter(RunStore* store,
 }
 
 ExternalMergeSorter::~ExternalMergeSorter() {
-  // An in-flight background spill references our buffers and run list;
-  // wait it out before tearing anything down.
-  if (spiller_ != nullptr) (void)spiller_->WaitIdle();
   // Drop the drain's read advice: the result run's block ids recycle into
   // later runs, and stale advice would prefetch them at the wrong time.
   if (advised_result_) options_.buffer_pool->ClearReadAdvice();
@@ -122,75 +117,34 @@ Status ExternalMergeSorter::Add(std::string_view key, std::string_view value) {
     return former_->Add(key, value);
   }
   uint64_t record_bytes = key.size() + value.size() + sizeof(RecordRef);
-  if (!current_->records.empty() &&
-      current_->bytes() + record_bytes > buffer_capacity_) {
+  if (!buffer_.records.empty() &&
+      buffer_.bytes() + record_bytes > buffer_capacity_) {
+    // Block-granular cancellation point: a full buffer is about to become
+    // a run. Bailing here loses no durable state — spilled runs are freed
+    // by the destructor and the buffer reservation unwinds normally.
+    RETURN_IF_ERROR(CheckCancelled(options_.cancel));
     RETURN_IF_ERROR(Spill());
   }
-  SpillBuffer& buffer = *current_;
   RecordRef ref;
-  ref.offset = buffer.arena.size();
+  ref.offset = buffer_.arena.size();
   ref.key_len = static_cast<uint32_t>(key.size());
   ref.value_len = static_cast<uint32_t>(value.size());
-  buffer.arena.append(key);
-  buffer.arena.append(value);
-  buffer.records.push_back(ref);
+  buffer_.arena.append(key);
+  buffer_.arena.append(value);
+  buffer_.records.push_back(ref);
   ++stats_.records;
   stats_.bytes += key.size() + value.size();
   return Status::OK();
 }
 
 Status ExternalMergeSorter::Spill() {
-  // Block-granular cancellation point: a full buffer is about to become a
-  // run. Bailing here loses no durable state — spilled runs are freed by
-  // the destructor and the buffer reservations unwind normally.
-  RETURN_IF_ERROR(CheckCancelled(options_.cancel));
-  ParallelContext* ctx = options_.parallel;
-  if (!double_buffer_attempted_ && ctx != nullptr && ctx->pool() != nullptr &&
-      ctx->options().double_buffer) {
-    double_buffer_attempted_ = true;
-    // Engaging costs a whole second buffer on top of the first, and the
-    // budget must still have the spill writer's block left over. When it
-    // doesn't, stay on the serial path — run boundaries are set by
-    // buffer_capacity_, which never changes, so output and logical I/O are
-    // identical either way.
-    MemoryBudget* budget = store_->budget();
-    if (spare_reservation_.Acquire(budget, options_.memory_blocks - 1).ok() &&
-        budget->available_blocks() >= 1) {
-      double_buffer_engaged_ = true;
-      spiller_ = std::make_unique<AsyncSpiller>(ctx->pool());
-    } else {
-      spare_reservation_.Reset();
-      ++pstats_.double_buffer_declined;
-    }
-  }
-  if (!double_buffer_engaged_) {
-    ++pstats_.sync_spills;
-    return SpillRun(current_, /*background=*/false);
-  }
-  // Wait for the previous spill (making the other buffer reusable), emit
-  // the trace events it deferred, then hand the full buffer off and keep
-  // accepting records into the drained one.
-  RETURN_IF_ERROR(spiller_->WaitIdle());
-  FlushDeferredTraces();
-  SpillBuffer* full = current_;
-  current_ = (current_ == &buffers_[0]) ? &buffers_[1] : &buffers_[0];
-  ++pstats_.async_spills;
-  return spiller_->Submit(
-      [this, full] { return SpillRun(full, /*background=*/true); });
-}
-
-Status ExternalMergeSorter::SpillRun(SpillBuffer* buffer, bool background) {
-  // Span recording is thread-safe, so a background spill gets its own
-  // worker-lane span in the trace; only its run-created *event* stays
-  // deferred to the foreground (run events feed histograms, which are
-  // foreground-only).
+  ++pstats_.sync_spills;
   ScopedSpan span(options_.tracer, "run_formation");
-  SortBuffer(buffer);
+  SortBuffer();
   RunWriter writer = store_->NewRun(options_.temp_category);
   RETURN_IF_ERROR(writer.init_status());
-  if (background) writer.set_suppress_trace(true);
-  const char* arena = buffer->arena.data();
-  for (const RecordRef& ref : buffer->records) {
+  const char* arena = buffer_.arena.data();
+  for (const RecordRef& ref : buffer_.records) {
     std::string_view key(arena + ref.offset, ref.key_len);
     std::string_view value(arena + ref.offset + ref.key_len, ref.value_len);
     RETURN_IF_ERROR(AppendRecord(&writer, key, value));
@@ -200,12 +154,11 @@ Status ExternalMergeSorter::SpillRun(SpillBuffer* buffer, bool background) {
   runs_.push_back(handle);
   ++stats_.initial_runs;
   stats_.runs.RecordRun(handle.byte_size, store_->device()->block_size());
-  if (background) deferred_traces_.push_back(handle);
-  buffer->Clear();
+  buffer_.Clear();
   return Status::OK();
 }
 
-void ExternalMergeSorter::SortBuffer(SpillBuffer* buffer) {
+void ExternalMergeSorter::SortBuffer() {
   // (key, arena offset) is a strict total order — offsets are unique — so
   // the sorted sequence is unique and any correct sort (serial, or
   // partitioned + merged below) produces bit-identical output. The offset
@@ -219,13 +172,13 @@ void ExternalMergeSorter::SortBuffer(SpillBuffer* buffer) {
       return a.offset < b.offset;
     }
   };
-  RecordLess less{buffer->arena.data()};
+  RecordLess less{buffer_.arena.data()};
   WorkerPool* pool =
       options_.parallel != nullptr ? options_.parallel->pool() : nullptr;
-  const size_t n = buffer->records.size();
+  const size_t n = buffer_.records.size();
   constexpr size_t kMinParallelSortRecords = 4096;
   if (pool == nullptr || pool->size() < 2 || n < kMinParallelSortRecords) {
-    std::sort(buffer->records.begin(), buffer->records.end(), less);
+    std::sort(buffer_.records.begin(), buffer_.records.end(), less);
     return;
   }
 
@@ -240,7 +193,7 @@ void ExternalMergeSorter::SortBuffer(SpillBuffer* buffer) {
     size_t done NEXSORT_GUARDED_BY(mutex) = 0;
   };
   auto shared = std::make_shared<SortShared>();
-  shared->base = buffer->records.data();
+  shared->base = buffer_.records.data();
   shared->less = less;
   shared->bounds.resize(chunks + 1);
   for (size_t i = 0; i <= chunks; ++i) shared->bounds[i] = i * n / chunks;
@@ -280,37 +233,28 @@ void ExternalMergeSorter::SortBuffer(SpillBuffer* buffer) {
   pstats_.sort_partitions += chunks;
 }
 
-void ExternalMergeSorter::FlushDeferredTraces() {
-  for (const RunHandle& handle : deferred_traces_) {
-    TraceRunEvent(store_->tracer(), RunEventKind::kCreated,
-                  options_.temp_category, handle.byte_size, handle.id);
-  }
-  deferred_traces_.clear();
-}
-
 void ExternalMergeSorter::AbsorbFormerStats() {
   if (former_ == nullptr || former_stats_absorbed_) return;
   former_stats_absorbed_ = true;
   stats_.runs = former_->stats();
   stats_.initial_runs = stats_.runs.runs_formed;
-  pstats_.MergeFrom(former_->parallel_stats());
+  pstats_.sync_spills += stats_.runs.runs_formed;  // one spill per run
 }
 
 void ExternalMergeSorter::PublishStats() {
   if (stats_published_) return;
   stats_published_ = true;
   AbsorbFormerStats();
-  if (spiller_ != nullptr) {
-    pstats_.spill_wait_seconds += spiller_->wait_seconds();
-    pstats_.spill_busy_seconds += spiller_->busy_seconds();
-  }
   if (options_.parallel != nullptr) options_.parallel->AddStats(pstats_);
 }
 
 Status ExternalMergeSorter::MergeAll() {
   const uint64_t fan_in = options_.memory_blocks - 1;
   const uint64_t block_size = store_->device()->block_size();
-  const uint32_t depth = options_.parallel != nullptr
+  // SortEnv rejects prefetch_depth without cache frames; a sorter built
+  // outside an env without a pool simply does not prefetch.
+  const uint32_t depth = options_.parallel != nullptr &&
+                                 options_.buffer_pool != nullptr
                              ? options_.parallel->options().prefetch_depth
                              : 0;
   std::vector<uint64_t> run_bytes;
@@ -367,21 +311,17 @@ Status ExternalMergeSorter::MergeAll() {
     std::unique_ptr<RunPrefetcher> prefetcher;
     std::vector<uint64_t> reported;
     if (depth > 0) {
-      if (options_.buffer_pool == nullptr) {
-        ++pstats_.prefetch_declined;
-      } else {
-        std::vector<RunPrefetcher::Source> prefetch_sources;
-        for (size_t i = 0; i < width; ++i) {
-          RunPrefetcher::Source source;
-          RETURN_IF_ERROR(
-              store_->SnapshotBlocks(nodes[step.inputs[i]], &source.blocks));
-          prefetch_sources.push_back(std::move(source));
-        }
-        prefetcher = std::make_unique<RunPrefetcher>(
-            options_.buffer_pool, options_.temp_category, depth,
-            std::move(prefetch_sources));
-        reported.assign(width, 0);
+      std::vector<RunPrefetcher::Source> prefetch_sources;
+      for (size_t i = 0; i < width; ++i) {
+        RunPrefetcher::Source source;
+        RETURN_IF_ERROR(
+            store_->SnapshotBlocks(nodes[step.inputs[i]], &source.blocks));
+        prefetch_sources.push_back(std::move(source));
       }
+      prefetcher = std::make_unique<RunPrefetcher>(
+          options_.buffer_pool, options_.temp_category, depth,
+          std::move(prefetch_sources));
+      reported.assign(width, 0);
     }
     LoserTree tree(std::move(raw));
     RunHandle merged;
@@ -510,47 +450,28 @@ Status ExternalMergeSorter::Finish() {
     // readers, mirroring the quicksort path's buffer release below.
     former_.reset();
     buffer_reservation_.Reset();
-    spare_reservation_.Reset();
     return MergeAndOpenResult();
-  }
-  if (spiller_ != nullptr) {
-    // Surface any background spill failure — a lost run write must fail
-    // the sort, not vanish on a worker thread.
-    Status background = spiller_->Drain();
-    FlushDeferredTraces();
-    if (!background.ok()) {
-      PublishStats();
-      return background;
-    }
   }
   if (runs_.empty()) {
     // Everything fit in the buffer: sort in place and drain from memory.
     stats_.in_memory = true;
-    SortBuffer(current_);
+    SortBuffer();
     PublishStats();
     return Status::OK();
   }
-  if (!current_->records.empty()) {
-    // The final partial buffer spills inline: there is nothing left to
-    // overlap it with.
-    ++pstats_.sync_spills;
-    Status spilled = SpillRun(current_, /*background=*/false);
+  if (!buffer_.records.empty()) {
+    Status spilled = Spill();
     if (!spilled.ok()) {
       PublishStats();
       return spilled;
     }
   }
-  // Release the input buffers before merging: merge fan-in readers (M-1
+  // Release the input buffer before merging: merge fan-in readers (M-1
   // blocks) plus the output writer (1 block) then use exactly M blocks,
   // the sort's whole allowance.
-  for (SpillBuffer& buffer : buffers_) {
-    buffer.arena.clear();
-    buffer.arena.shrink_to_fit();
-    buffer.records.clear();
-    buffer.records.shrink_to_fit();
-  }
+  buffer_.arena.shrink_to_fit();
+  buffer_.records.shrink_to_fit();
   buffer_reservation_.Reset();
-  spare_reservation_.Reset();
   return MergeAndOpenResult();
 }
 
@@ -558,11 +479,10 @@ StatusOr<bool> ExternalMergeSorter::Next(std::string* key, std::string* value) {
   if (!finished_) return Status::InvalidArgument("Finish() not called");
   if (stats_.in_memory) {
     if (former_ != nullptr) return former_->PopMin(key, value);
-    const SpillBuffer& buffer = *current_;
-    if (mem_cursor_ >= buffer.records.size()) return false;
-    const RecordRef& ref = buffer.records[mem_cursor_++];
-    key->assign(buffer.arena.data() + ref.offset, ref.key_len);
-    value->assign(buffer.arena.data() + ref.offset + ref.key_len,
+    if (mem_cursor_ >= buffer_.records.size()) return false;
+    const RecordRef& ref = buffer_.records[mem_cursor_++];
+    key->assign(buffer_.arena.data() + ref.offset, ref.key_len);
+    value->assign(buffer_.arena.data() + ref.offset + ref.key_len,
                   ref.value_len);
     return true;
   }

@@ -8,10 +8,6 @@
 // With a ParallelContext attached (see src/parallel/), the same algorithm
 // overlaps compute and I/O without changing its structure:
 //
-//  * double-buffered run formation — a background worker sorts and spills
-//    one full buffer while the foreground keeps Add()-ing into a second
-//    one, charged to the same MemoryBudget (and declined, falling back to
-//    the serial path, when the budget cannot afford it);
 //  * partitioned buffer sorts — the in-memory sort of a full buffer is
 //    split across the pool and merged (the record comparator is a strict
 //    total order, so the result is bit-identical to the serial sort);
@@ -43,7 +39,6 @@ namespace nexsort {
 
 class BufferPool;
 class Tracer;
-class AsyncSpiller;
 class ReplacementSelectionFormer;
 
 struct ExtSortOptions {
@@ -149,9 +144,7 @@ class ExternalMergeSorter {
   /// Buffer one record, spilling a sorted run if the buffer is full.
   [[nodiscard]] Status Add(std::string_view key, std::string_view value);
 
-  /// Sort everything added. After this only Next may be called. Any error
-  /// a background spill hit — including a failed run write — surfaces
-  /// here (or from the Add that first observed it).
+  /// Sort everything added. After this only Next may be called.
   [[nodiscard]] Status Finish();
 
   /// Produce records in key order. Returns false when drained.
@@ -170,8 +163,7 @@ class ExternalMergeSorter {
     uint32_t value_len;
   };
 
-  /// One run-formation buffer. Two exist so a background spill of one can
-  /// overlap filling the other; serial mode only ever touches the first.
+  /// The run-formation buffer: record bytes plus their sort handles.
   struct SpillBuffer {
     std::string arena;
     std::vector<RecordRef> records;
@@ -185,22 +177,13 @@ class ExternalMergeSorter {
     }
   };
 
-  /// Route a full buffer to the background spiller (engaging double
-  /// buffering on first use when the budget allows) or spill inline.
+  /// Sort the buffer and write it out as one run, leaving it empty.
   [[nodiscard]] Status Spill();
 
-  /// Sort `buffer` and write it out as one run. `background` suppresses
-  /// tracing (the Tracer is single-threaded) and defers the run-created
-  /// event for the foreground to emit.
-  [[nodiscard]] Status SpillRun(SpillBuffer* buffer, bool background);
-
-  /// Sort a buffer's records: std::sort, or partitioned across the worker
-  /// pool and merged when a pool is attached and the buffer is large.
-  void SortBuffer(SpillBuffer* buffer);
-
-  /// Emit run-created events recorded by completed background spills.
-  /// Callers must know the spiller is idle (after WaitIdle/Drain).
-  void FlushDeferredTraces();
+  /// Sort the buffer's records: std::sort, or partitioned across the
+  /// worker pool and merged when a pool is attached and the buffer is
+  /// large.
+  void SortBuffer();
 
   /// Fold the replacement-selection engine's counters into this sorter's
   /// stats, exactly once (idempotent; safe before or after former_ goes).
@@ -224,19 +207,14 @@ class ExternalMergeSorter {
   RunStore* store_;
   const ExtSortOptions options_;
   BudgetReservation buffer_reservation_;
-  BudgetReservation spare_reservation_;  // second buffer when engaged
   Status init_status_;
 
   uint64_t buffer_capacity_ = 0;  // bytes
-  SpillBuffer buffers_[2];
-  SpillBuffer* current_ = &buffers_[0];
+  SpillBuffer buffer_;
   std::vector<RunHandle> runs_;
   ExtSortStats stats_;
   ParallelStats pstats_;
-  bool double_buffer_attempted_ = false;
-  bool double_buffer_engaged_ = false;
   bool stats_published_ = false;
-  std::vector<RunHandle> deferred_traces_;  // created by background spills
 
   // Replacement-selection engine; null under kQuicksortChunks. Its slot
   // memory is charged against buffer_reservation_, exactly like the
@@ -250,10 +228,6 @@ class ExternalMergeSorter {
   std::unique_ptr<RecordRunSource> result_source_;
   bool result_primed_ = false;
   bool advised_result_ = false;  // pool read-advice installed for the drain
-
-  // Declared last: destroyed first, so an in-flight background spill
-  // drains before the buffers and run list it references go away.
-  std::unique_ptr<AsyncSpiller> spiller_;
 };
 
 /// Decode helper shared by run-record readers.

@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "obs/tracer.h"
-#include "parallel/async_spiller.h"
 #include "sort/external_merge_sort.h"
 #include "util/dcheck.h"
-#include "util/varint.h"
 
 namespace nexsort {
 
@@ -18,9 +16,6 @@ ReplacementSelectionFormer::ReplacementSelectionFormer(RunStore* store,
       block_size_(store->device()->block_size()) {}
 
 ReplacementSelectionFormer::~ReplacementSelectionFormer() {
-  // An in-flight staging append references the writer and staging buffers;
-  // wait it out before tearing anything down.
-  if (spiller_ != nullptr) (void)spiller_->WaitIdle();
   // Best-effort cleanup of runs never handed over (cancellation / error
   // unwind); FinishRuns clears the list on the normal path.
   for (RunHandle run : runs_) {
@@ -109,7 +104,8 @@ Status ReplacementSelectionFormer::EmitMin() {
     RETURN_IF_ERROR(CloseRun());
   }
   if (!writer_open_) RETURN_IF_ERROR(StartRun());
-  RETURN_IF_ERROR(WriteRecord(slot->user_key(), slot->value()));
+  RETURN_IF_ERROR(
+      AppendRecord(run_writer_.get(), slot->user_key(), slot->value()));
   last_key_.assign(slot->user_key());
   have_last_key_ = true;
   used_bytes_ -= slot->bytes();
@@ -129,81 +125,19 @@ Status ReplacementSelectionFormer::ResolvePending() {
 }
 
 Status ReplacementSelectionFormer::StartRun() {
-  if (!async_attempted_) {
-    async_attempted_ = true;
-    ParallelContext* ctx = options_.parallel;
-    if (ctx != nullptr && ctx->pool() != nullptr &&
-        ctx->options().double_buffer) {
-      // The staging pair costs two blocks on top of the tournament and the
-      // writer's block. Decline gracefully when the budget cannot fund it;
-      // run contents are identical either way.
-      if (staging_reservation_.Acquire(store_->budget(), 2).ok()) {
-        async_engaged_ = true;
-        spiller_ = std::make_unique<AsyncSpiller>(ctx->pool());
-      } else {
-        ++pstats_.double_buffer_declined;
-      }
-    }
-  }
   run_writer_ =
       std::make_unique<RunWriter>(store_->NewRun(options_.temp_category));
   RETURN_IF_ERROR(run_writer_->init_status());
-  if (!async_engaged_) ++pstats_.sync_spills;  // one inline spill per run
-  // Staged appends finish on a worker thread; the Tracer is single-
-  // threaded, so suppress the writer's own events and emit the created-
-  // event from the foreground in CloseRun.
-  if (async_engaged_) run_writer_->set_suppress_trace(true);
   writer_open_ = true;
   spilled_ = true;
   return Status::OK();
 }
 
-Status ReplacementSelectionFormer::WriteRecord(std::string_view key,
-                                               std::string_view value) {
-  if (!async_engaged_) {
-    return AppendRecord(run_writer_.get(), key, value);
-  }
-  std::string& staging = staging_[active_staging_];
-  PutVarint64(&staging, key.size());
-  staging.append(key);
-  PutVarint64(&staging, value.size());
-  staging.append(value);
-  if (staging.size() >= block_size_) RETURN_IF_ERROR(FlushStagingAsync());
-  return Status::OK();
-}
-
-Status ReplacementSelectionFormer::FlushStagingAsync() {
-  // One-deep pipeline: wait for the previous chunk (freeing its buffer),
-  // then hand this one off and keep encoding into the drained buffer.
-  RETURN_IF_ERROR(spiller_->WaitIdle());
-  std::string* full = &staging_[active_staging_];
-  active_staging_ ^= 1;
-  ++pstats_.async_spills;
-  RunWriter* writer = run_writer_.get();
-  return spiller_->Submit([writer, full] {
-    Status appended = writer->Append(*full);
-    full->clear();
-    return appended;
-  });
-}
-
 Status ReplacementSelectionFormer::CloseRun() {
   if (writer_open_) {
     ScopedSpan span(options_.tracer, "run_formation");
-    if (async_engaged_) {
-      RETURN_IF_ERROR(spiller_->WaitIdle());
-      std::string& staging = staging_[active_staging_];
-      if (!staging.empty()) {
-        RETURN_IF_ERROR(run_writer_->Append(staging));
-        staging.clear();
-      }
-    }
     RunHandle handle;
     RETURN_IF_ERROR(run_writer_->Finish(&handle));
-    if (async_engaged_) {
-      TraceRunEvent(store_->tracer(), RunEventKind::kCreated,
-                    options_.temp_category, handle.byte_size, handle.id);
-    }
     runs_.push_back(handle);
     stats_.RecordRun(handle.byte_size, block_size_);
     run_writer_.reset();
@@ -225,11 +159,6 @@ Status ReplacementSelectionFormer::FinishRuns(std::vector<RunHandle>* runs) {
     RETURN_IF_ERROR(EmitMin());
   }
   RETURN_IF_ERROR(CloseRun());
-  if (spiller_ != nullptr) {
-    pstats_.spill_wait_seconds += spiller_->wait_seconds();
-    pstats_.spill_busy_seconds += spiller_->busy_seconds();
-  }
-  staging_reservation_.Reset();
   runs->insert(runs->end(), runs_.begin(), runs_.end());
   runs_.clear();
   return Status::OK();

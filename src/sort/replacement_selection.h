@@ -20,8 +20,8 @@
 //
 // Memory is budget-exact against the capacity the owning sorter reserved:
 // every resident record is charged key+value bytes plus a fixed per-slot
-// overhead, and the double-buffered spill path (AsyncSpiller) only engages
-// after reserving its two staging blocks from the MemoryBudget.
+// overhead, and evicted records go straight to the run writer, whose one
+// block is the only memory on top.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "extmem/block_device.h"
-#include "extmem/memory_budget.h"
 #include "extmem/run_store.h"
-#include "parallel/parallel.h"
 #include "sort/loser_tree.h"
 #include "sort/run_formation.h"
 #include "util/cancellation.h"
@@ -42,7 +40,6 @@
 
 namespace nexsort {
 
-class AsyncSpiller;
 class Tracer;
 
 /// One tournament slot: holds at most one resident record. A record costs
@@ -118,8 +115,7 @@ class ReplacementSelectionFormer {
     /// the run writer's block is on top, exactly like the quicksort path).
     uint64_t capacity_bytes = 0;
     IoCategory temp_category = IoCategory::kSortTemp;
-    Tracer* tracer = nullptr;                 // not owned; may be null
-    ParallelContext* parallel = nullptr;      // not owned; may be null
+    Tracer* tracer = nullptr;                   // not owned; may be null
     const CancellationToken* cancel = nullptr;  // not owned; may be null
   };
 
@@ -149,9 +145,6 @@ class ReplacementSelectionFormer {
 
   const RunFormationStats& stats() const { return stats_; }
 
-  /// Async-path counters for the owner to fold into its ParallelStats.
-  const ParallelStats& parallel_stats() const { return pstats_; }
-
  private:
   /// Build (or rebuild, after growing the slot array) the tournament.
   [[nodiscard]] Status BuildTree();
@@ -170,19 +163,9 @@ class ReplacementSelectionFormer {
   [[nodiscard]] Status StartRun();
   [[nodiscard]] Status CloseRun();
 
-  /// Append one encoded record to the open run — directly, or via the
-  /// double-buffered staging path when it is engaged.
-  [[nodiscard]] Status WriteRecord(std::string_view key,
-                                   std::string_view value);
-
-  /// Hand the filled staging buffer to the background spiller and keep
-  /// encoding into the other one.
-  [[nodiscard]] Status FlushStagingAsync();
-
   RunStore* store_;
   const Options options_;
   const uint64_t block_size_;
-  BudgetReservation staging_reservation_;  // funds the two staging blocks
 
   std::deque<ReplacementHeapSlot> slots_;  // stable element addresses
   std::vector<uint32_t> free_slots_;
@@ -204,21 +187,9 @@ class ReplacementSelectionFormer {
   std::string last_key_;
   std::vector<RunHandle> runs_;
   RunFormationStats stats_;
-  ParallelStats pstats_;
-
-  // Double-buffered spill path: records are encoded into one staging
-  // buffer while the spiller appends the other to the run writer.
-  bool async_attempted_ = false;
-  bool async_engaged_ = false;
-  std::string staging_[2];
-  size_t active_staging_ = 0;
 
   bool writer_open_ = false;
   std::unique_ptr<RunWriter> run_writer_;
-
-  // Declared last: destroyed first, so an in-flight staging append drains
-  // before the writer and staging buffers it references go away.
-  std::unique_ptr<AsyncSpiller> spiller_;
 };
 
 }  // namespace nexsort

@@ -39,6 +39,13 @@ TEST(SortEnvCreate, RejectsInvalidOptions) {
     EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
   }
   {
+    // Merge prefetching lands its blocks in cache frames; without any it
+    // would silently do nothing.
+    SortEnvOptions options;
+    options.parallel.prefetch_depth = 4;
+    EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
+  }
+  {
     // Cache frames are charged against the budget for the env's lifetime;
     // a cache as large as M would leave the sorts nothing to run on.
     SortEnvOptions options;

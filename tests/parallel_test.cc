@@ -1,15 +1,14 @@
 // Parallel-pipeline tests: bounded-queue shutdown semantics, worker-pool
-// execution, AsyncSpiller ordering and sticky-error propagation (a failing
-// background spill write must surface from Finish), budget exactness under
-// concurrent Acquire/Release, and determinism property tests asserting the
-// overlapped pipeline (threads in {1,2,4}, with and without merge
-// prefetching) produces byte-identical output — and, where the device is
-// uncached, identical logical I/O — to the serial pipeline.
+// execution, budget exactness under concurrent Acquire/Release, spill-write
+// failures surfacing under a worker pool, and determinism property tests
+// asserting the parallel pipeline (threads in {1,2,4}, with and without
+// merge prefetching, under both run-formation policies) produces
+// byte-identical output — and, where the device is uncached, identical
+// logical I/O — to the serial pipeline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "extmem/memory_budget.h"
 #include "extmem/run_store.h"
 #include "extmem/stream.h"
-#include "parallel/async_spiller.h"
 #include "parallel/bounded_queue.h"
 #include "parallel/parallel.h"
 #include "parallel/worker_pool.h"
@@ -162,63 +160,6 @@ TEST(WorkerPool, TasksActuallyRunOffTheSubmittingThread) {
 }
 
 // ---------------------------------------------------------------------------
-// AsyncSpiller
-
-TEST(AsyncSpiller, RunsJobsInSubmissionOrder) {
-  WorkerPool pool(2);
-  AsyncSpiller spiller(&pool);
-  std::mutex mutex;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    NEX_ASSERT_OK(spiller.Submit([&, i] {
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(i);
-      return Status();
-    }));
-  }
-  NEX_ASSERT_OK(spiller.Drain());
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_GE(spiller.busy_seconds(), 0.0);
-}
-
-TEST(AsyncSpiller, NullPoolRunsJobsInline) {
-  AsyncSpiller spiller(nullptr);
-  bool ran = false;
-  NEX_ASSERT_OK(spiller.Submit([&] {
-    ran = true;
-    return Status();
-  }));
-  EXPECT_TRUE(ran);
-  NEX_ASSERT_OK(spiller.Drain());
-}
-
-TEST(AsyncSpiller, ErrorIsStickyAndLaterJobsNeverRun) {
-  WorkerPool pool(1);
-  AsyncSpiller spiller(&pool);
-  NEX_ASSERT_OK(spiller.Submit([] { return Status(); }));
-  NEX_ASSERT_OK(
-      spiller.Submit([] { return Status::IOError("lost spill write"); }));
-  // The failing job is in flight (or done); every later submission must
-  // report the error and must not run its job.
-  bool ran = false;
-  Status st;
-  for (int i = 0; i < 10 && st.ok(); ++i) {
-    st = spiller.Submit([&] {
-      ran = true;
-      return Status();
-    });
-  }
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("lost spill write"), std::string::npos)
-      << st.ToString();
-  EXPECT_FALSE(ran);
-  Status drained = spiller.Drain();
-  EXPECT_FALSE(drained.ok());
-  EXPECT_NE(drained.ToString().find("lost spill write"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // MemoryBudget under concurrency
 
 TEST(MemoryBudgetConcurrency, ConcurrentAcquireReleaseStaysExact) {
@@ -245,19 +186,36 @@ TEST(MemoryBudgetConcurrency, ConcurrentAcquireReleaseStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// ExternalMergeSorter: overlapped run formation
+// ExternalMergeSorter under a worker pool
+
+// Totals and per-category counts must match; the sequential_* subsets and
+// modeled_seconds legitimately depend on physical interleaving.
+void ExpectSameLogicalIo(const IoStats& got, const IoStats& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.reads.load(), want.reads.load()) << label;
+  EXPECT_EQ(got.writes.load(), want.writes.load()) << label;
+  for (int c = 0; c < kNumIoCategories; ++c) {
+    EXPECT_EQ(got.category_reads[c].load(), want.category_reads[c].load())
+        << label << " category " << c << " reads";
+    EXPECT_EQ(got.category_writes[c].load(), want.category_writes[c].load())
+        << label << " category " << c << " writes";
+  }
+}
 
 struct SortRun {
   std::vector<std::pair<std::string, std::string>> records;
   ExtSortStats stats;
   ParallelStats pstats;
+  IoStats io;
 };
 
 // Sort a deterministic record set through ExternalMergeSorter with the
 // given worker count, small enough blocks to force several spills and
 // large enough buffers to trigger partitioned sorts (>= 4096 records per
 // buffer) when workers are available.
-SortRun RunExtSort(uint32_t threads, size_t record_count) {
+SortRun RunExtSort(uint32_t threads, size_t record_count,
+                   RunFormationPolicy policy =
+                       RunFormationPolicy::kQuicksortChunks) {
   SortRun result;
   auto device = NewMemoryBlockDevice(4096);
   MemoryBudget budget(100);
@@ -267,6 +225,7 @@ SortRun RunExtSort(uint32_t threads, size_t record_count) {
   ParallelContext context(ParallelOptions{.threads = threads}, &pool);
   ExtSortOptions options;
   options.memory_blocks = 32;
+  options.run_formation = policy;
   if (threads > 0) options.parallel = &context;
 
   ExternalMergeSorter sorter(&store, options);
@@ -294,6 +253,7 @@ SortRun RunExtSort(uint32_t threads, size_t record_count) {
   }
   result.stats = sorter.stats();
   result.pstats = sorter.parallel_stats();
+  result.io = device->stats();
   return result;
 }
 
@@ -302,7 +262,6 @@ TEST(ParallelExtSort, WorkersProduceIdenticalRecordStream) {
   SortRun serial = RunExtSort(0, kRecords);
   ASSERT_EQ(serial.records.size(), kRecords);
   EXPECT_GT(serial.stats.initial_runs, 1u);  // the workload really spilled
-  EXPECT_EQ(serial.pstats.async_spills, 0u);
   EXPECT_EQ(serial.pstats.parallel_sorts, 0u);
 
   for (uint32_t threads : {1u, 2u, 4u}) {
@@ -310,9 +269,7 @@ TEST(ParallelExtSort, WorkersProduceIdenticalRecordStream) {
     EXPECT_EQ(parallel.records, serial.records) << "threads=" << threads;
     EXPECT_EQ(parallel.stats.initial_runs, serial.stats.initial_runs);
     EXPECT_EQ(parallel.stats.merge_passes, serial.stats.merge_passes);
-    // The pipeline genuinely engaged: spills went to the background and
-    // buffer sorts were partitioned across the pool (with >= 2 workers).
-    EXPECT_GT(parallel.pstats.async_spills, 0u) << "threads=" << threads;
+    // Buffer sorts were partitioned across the pool (with >= 2 workers).
     if (threads >= 2) {
       EXPECT_GT(parallel.pstats.parallel_sorts, 0u) << "threads=" << threads;
       EXPECT_GE(parallel.pstats.sort_partitions,
@@ -321,46 +278,22 @@ TEST(ParallelExtSort, WorkersProduceIdenticalRecordStream) {
   }
 }
 
-TEST(ParallelExtSort, TinyBudgetDeclinesDoubleBufferingAndStaysSerial) {
-  auto device = NewMemoryBlockDevice(512);
-  // 8 blocks total: the sorter's 7-block buffer + 1 writer block leave
-  // nothing for a second buffer, so engagement must be declined.
-  MemoryBudget budget(8);
-  RunStore store(device.get(), &budget);
-  WorkerPool pool(2);
-  ParallelContext context(ParallelOptions{.threads = 2}, &pool);
-  ExtSortOptions options;
-  options.memory_blocks = 8;
-  options.parallel = &context;
-  ExternalMergeSorter sorter(&store, options);
-  NEX_ASSERT_OK(sorter.init_status());
+TEST(ParallelExtSort, ReplacementSelectionMatchesSerialUnderWorkers) {
+  constexpr size_t kRecords = 20000;
+  const RunFormationPolicy kPolicy = RunFormationPolicy::kReplacementSelection;
+  SortRun serial = RunExtSort(0, kRecords, kPolicy);
+  ASSERT_EQ(serial.records.size(), kRecords);
+  EXPECT_GT(serial.stats.initial_runs, 1u);  // the workload really spilled
 
-  std::mt19937 rng(99);
-  for (int i = 0; i < 2000; ++i) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "%06u",
-                  static_cast<unsigned>(rng() % 1000000));
-    NEX_ASSERT_OK(sorter.Add(key, "x"));
-  }
-  NEX_ASSERT_OK(sorter.Finish());
-
-  const ParallelStats& pstats = sorter.parallel_stats();
-  EXPECT_EQ(pstats.async_spills, 0u);
-  EXPECT_GT(pstats.sync_spills, 0u);
-  EXPECT_GT(pstats.double_buffer_declined, 0u);
-
-  // The output is still fully sorted.
-  std::string key, value, previous;
-  while (true) {
-    auto more = sorter.Next(&key, &value);
-    NEX_ASSERT_OK(more.status());
-    if (!*more) break;
-    EXPECT_LE(previous, key);
-    previous = key;
-  }
+  SortRun parallel = RunExtSort(2, kRecords, kPolicy);
+  EXPECT_EQ(parallel.records, serial.records);
+  EXPECT_EQ(parallel.stats.initial_runs, serial.stats.initial_runs);
+  ExpectSameLogicalIo(parallel.io, serial.io, "replacement threads=2");
 }
 
-TEST(ParallelExtSort, FailingBackgroundSpillWriteSurfacesFromFinish) {
+// Sort under a device that fails every write with a worker pool attached;
+// returns true when the lost run write surfaced from Add or Finish.
+bool FailingRunWriteSurfaces(RunFormationPolicy policy) {
   auto device = NewMemoryBlockDevice(512);
   MemoryBudget budget(32);
   RunStore store(device.get(), &budget);
@@ -368,13 +301,11 @@ TEST(ParallelExtSort, FailingBackgroundSpillWriteSurfacesFromFinish) {
   ParallelContext context(ParallelOptions{.threads = 2}, &pool);
   ExtSortOptions options;
   options.memory_blocks = 4;  // 3-block buffer: spills early and often
+  options.run_formation = policy;
   options.parallel = &context;
   ExternalMergeSorter sorter(&store, options);
-  NEX_ASSERT_OK(sorter.init_status());
+  EXPECT_TRUE(sorter.init_status().ok()) << sorter.init_status().ToString();
 
-  // Every run write fails. The first spill happens on a background worker;
-  // its error must not vanish — either a later Add observes the sticky
-  // status or Finish returns it.
   device->FailAfterOps(0, 1 << 20, BlockDevice::FailOps::kWrites);
 
   std::mt19937 rng(7);
@@ -385,9 +316,19 @@ TEST(ParallelExtSort, FailingBackgroundSpillWriteSurfacesFromFinish) {
                   static_cast<unsigned>(rng() % 1000000));
     add_status = sorter.Add(key, "payload");
   }
-  Status finish_status = sorter.Finish();
-  EXPECT_FALSE(add_status.ok() && finish_status.ok())
-      << "a failed background spill write was silently dropped";
+  if (!add_status.ok()) return true;
+  return !sorter.Finish().ok();
+}
+
+TEST(ParallelExtSort, FailingBackgroundSpillWriteSurfacesFromFinish) {
+  EXPECT_TRUE(FailingRunWriteSurfaces(RunFormationPolicy::kQuicksortChunks))
+      << "a failed spill write was silently dropped";
+}
+
+TEST(ParallelExtSort, ReplacementSelectionFailingRunWriteSurfaces) {
+  EXPECT_TRUE(
+      FailingRunWriteSurfaces(RunFormationPolicy::kReplacementSelection))
+      << "a failed replacement-selection run write was silently dropped";
 }
 
 // ---------------------------------------------------------------------------
@@ -402,9 +343,8 @@ std::string RunNexSort(const std::string& xml, const OrderSpec& spec,
   SortEnvOptions env_options;
   env_options.block_size = 512;
   env_options.memory_blocks = 64;
-  // Pin a small sort allowance so (a) serial and parallel runs share the
-  // same run structure (the auto mode would halve it for the second
-  // buffer) and (b) large subtrees really go external and spill runs.
+  // Pin a small sort allowance so large subtrees really go external and
+  // spill runs.
   env_options.sort_memory_blocks = 4;
   env_options.parallel.threads = threads;
   env_options.parallel.prefetch_depth = prefetch_depth;
@@ -437,20 +377,6 @@ std::string RunNexSort(const std::string& xml, const OrderSpec& spec,
   return out;
 }
 
-// Totals and per-category counts must match; the sequential_* subsets and
-// modeled_seconds legitimately depend on physical interleaving.
-void ExpectSameLogicalIo(const IoStats& got, const IoStats& want,
-                         const std::string& label) {
-  EXPECT_EQ(got.reads.load(), want.reads.load()) << label;
-  EXPECT_EQ(got.writes.load(), want.writes.load()) << label;
-  for (int c = 0; c < kNumIoCategories; ++c) {
-    EXPECT_EQ(got.category_reads[c].load(), want.category_reads[c].load())
-        << label << " category " << c << " reads";
-    EXPECT_EQ(got.category_writes[c].load(), want.category_writes[c].load())
-        << label << " category " << c << " writes";
-  }
-}
-
 TEST(ParallelDeterminism, NexSortThreadsMatchSerialOutputAndLogicalIo) {
   RandomTreeGenerator generator(/*height=*/6, /*max_fanout=*/6,
                                 {.seed = 17, .element_bytes = 100});
@@ -465,14 +391,67 @@ TEST(ParallelDeterminism, NexSortThreadsMatchSerialOutputAndLogicalIo) {
 
   for (uint32_t threads : {1u, 2u, 4u}) {
     IoStats io;
-    ParallelStats pstats;
-    std::string out = RunNexSort(*xml, spec, threads, 0, 0, &io, &pstats);
+    std::string out = RunNexSort(*xml, spec, threads, 0, 0, &io, nullptr);
     EXPECT_EQ(out, serial) << "threads=" << threads;
     ExpectSameLogicalIo(io, serial_io,
                         "threads=" + std::to_string(threads));
-    // Double buffering engaged at least once on this workload.
-    EXPECT_GT(pstats.async_spills + pstats.sync_spills, 0u);
   }
+}
+
+// Sort `xml` with `Sorter` (NexSorter or KeyPathXmlSorter) in a fresh
+// 64-block env that sizes sort memory automatically (sort_memory_blocks 0);
+// returns the output bytes and the env's logical I/O.
+template <typename Sorter, typename SorterOptions>
+std::string SortWithAutoSortMemory(const std::string& xml,
+                                   SorterOptions options, uint32_t threads,
+                                   IoStats* io) {
+  SortEnvOptions env_options;
+  env_options.block_size = 512;
+  env_options.memory_blocks = 64;
+  env_options.parallel.threads = threads;
+  Env env(env_options);
+  Sorter sorter(env.get(), std::move(options));
+  StringByteSource source(xml);
+  std::string out;
+  StringByteSink sink(&out);
+  Status st = sorter.Sort(&source, &sink);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  *io = env.device()->stats();
+  return out;
+}
+
+TEST(ParallelDeterminism, AutoSortMemoryIsIndependentOfThreads) {
+  // Wide enough that the key-path sort spills and NEXSORT's subtree sorts
+  // sit near the auto allowance, so any smaller grant under threads > 0
+  // would change the run structure and hence the logical I/O.
+  RandomTreeGenerator generator(/*height=*/3, /*max_fanout=*/250,
+                                {.seed = 17, .element_bytes = 100});
+  auto xml = generator.GenerateString();
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  const OrderSpec spec = OrderSpec::ByAttribute("id", /*numeric=*/true);
+
+  NexSortOptions nex_options;
+  nex_options.order = spec;
+  IoStats nex_serial_io, nex_parallel_io;
+  std::string nex_serial = SortWithAutoSortMemory<NexSorter>(
+      *xml, nex_options, 0, &nex_serial_io);
+  ASSERT_FALSE(nex_serial.empty());
+  EXPECT_EQ(SortWithAutoSortMemory<NexSorter>(*xml, nex_options, 2,
+                                              &nex_parallel_io),
+            nex_serial);
+  ExpectSameLogicalIo(nex_parallel_io, nex_serial_io, "nexsort threads=2");
+
+  KeyPathSortOptions keypath_options;
+  keypath_options.order = spec;
+  IoStats keypath_serial_io, keypath_parallel_io;
+  std::string keypath_serial = SortWithAutoSortMemory<KeyPathXmlSorter>(
+      *xml, keypath_options, 0, &keypath_serial_io);
+  ASSERT_FALSE(keypath_serial.empty());
+  EXPECT_EQ(SortWithAutoSortMemory<KeyPathXmlSorter>(
+                *xml, keypath_options, 2, &keypath_parallel_io),
+            keypath_serial);
+  ExpectSameLogicalIo(keypath_parallel_io, keypath_serial_io,
+                      "keypath threads=2");
 }
 
 TEST(ParallelDeterminism, NexSortPrefetchingMatchesSerialOutput) {
