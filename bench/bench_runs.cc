@@ -17,17 +17,15 @@
 // every point. The streamed rows drain the pull-based SortedStream
 // instead of the eager Sort call and report time_to_first_byte_ms.
 //
-// A second sweep (docs/MERGE_PLANNING.md) compares merge *scheduling*:
-// the historical greedy left-to-right passes (merge_policy=greedy, no
-// placement — exactly the pre-planner behavior) against the planned
-// schedule with DFS-aware run placement. On the fig5 key-path workload
-// the planner's cost ceiling guarantees planned physical I/O and modeled
-// seconds never exceed greedy's, and at M=52 — where quicksort's run
-// count just exceeds the fan-in — the win is strict; placement must also
-// not lower the device's sequential-read share. The skewed workload
-// (replacement selection over alternating presorted stretches and
-// shuffled bursts, so run lengths vary wildly) exercises the planner's
-// carry DP, with outputs asserted byte-identical across policies.
+// A second sweep (docs/MERGE_PLANNING.md) records the planned merge
+// schedule, whose final run is laid out in contiguous extents: the fig5
+// key-path workload at M=64, 52 (just past the fan-in boundary, where the
+// planner merges only the cheapest window instead of a full extra pass)
+// and 32, and a skewed workload (replacement selection over alternating
+// presorted stretches and shuffled bursts, so run lengths vary wildly)
+// that exercises the planner's carry DP. That the schedule never costs
+// more than the classic greedy loop is property-tested against a greedy
+// oracle in tests/merge_plan_test.cc.
 #include "bench/bench_common.h"
 #include "sort/merge_plan.h"
 #include "sort/run_formation.h"
@@ -106,21 +104,6 @@ KeyPathSortOptions KeyPathPolicyOptions(RunFormationPolicy policy) {
   return options;
 }
 
-KeyPathSortOptions KeyPathMergeOptions(MergePolicy policy, bool placement) {
-  KeyPathSortOptions options = DefaultKeyPathOptions();
-  options.merge_policy = policy;
-  options.dfs_placement = placement;
-  return options;
-}
-
-NexSortOptions NexMergeOptions(MergePolicy policy, bool placement) {
-  NexSortOptions options = DefaultNexOptions();
-  options.run_formation = RunFormationPolicy::kReplacementSelection;
-  options.merge_policy = policy;
-  options.dfs_placement = placement;
-  return options;
-}
-
 double SequentialReadShare(const RunResult& result) {
   uint64_t reads = result.io.reads.load(std::memory_order_relaxed);
   if (reads == 0) return 0;
@@ -132,10 +115,9 @@ double SequentialReadShare(const RunResult& result) {
 void PrintMergeRow(const char* workload, uint64_t memory_blocks,
                    const MergePlanStats& plan, const RunResult& result) {
   std::printf(
-      "  %-14s %4llu | %-7s %5llu  %3llu-%-3llu  %7.1f | %10llu  %8.2f  "
+      "  %-14s %4llu | %5llu  %3llu-%-3llu  %7.1f | %10llu  %8.2f  "
       "%5.1f%%\n",
       workload, static_cast<unsigned long long>(memory_blocks),
-      MergePolicyName(plan.policy),
       static_cast<unsigned long long>(plan.steps),
       static_cast<unsigned long long>(plan.fanin_min),
       static_cast<unsigned long long>(plan.fanin_max),
@@ -272,107 +254,39 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Merge scheduling: the historical greedy passes (no placement) against
-  // the planned schedule with DFS-aware placement, on the fig5 key-path
-  // workload. The planner's pass/byte ceiling makes "planned never worse"
-  // a hard assertion; M=52 sits just past the fan-in boundary, where
-  // greedy's full first pass over every run is pure waste and the win
-  // must be strict.
-  PrintHeader("Merge scheduling: greedy vs planned (fig5 key-path)",
-              "  workload          M | policy  steps  fan-in   MiB mrg |"
+  // Merge scheduling: the planned schedule on the fig5 key-path workload.
+  // M=52 sits just past the fan-in boundary, where a full first pass over
+  // every run would be pure waste.
+  PrintHeader("Merge scheduling: planned (fig5 key-path, skewed)",
+              "  workload          M | steps  fan-in   MiB mrg |"
               "   phys I/O  model(s)  seq-rd");
   for (uint64_t memory_blocks : {64, 52, 32}) {
-    RunResult greedy = RunKeyPathSort(
-        fig5_xml, memory_blocks,
-        KeyPathMergeOptions(MergePolicy::kGreedy, /*placement=*/false));
-    CheckOk(greedy, "keypath greedy merge");
-    RunResult planned = RunKeyPathSort(
-        fig5_xml, memory_blocks,
-        KeyPathMergeOptions(MergePolicy::kPlanned, /*placement=*/true));
+    RunResult planned = RunKeyPathSort(fig5_xml, memory_blocks,
+                                       DefaultKeyPathOptions());
     CheckOk(planned, "keypath planned merge");
-    json_log.AddRow("keypath_merge_greedy_fig5",
-                    {{"memory_blocks", memory_blocks}}, greedy);
     json_log.AddRow("keypath_merge_planned_fig5",
                     {{"memory_blocks", memory_blocks}}, planned);
     PrintMergeRow("fig5_keypath", memory_blocks,
-                  greedy.keypath_stats.sort.plan, greedy);
-    PrintMergeRow("fig5_keypath", memory_blocks,
                   planned.keypath_stats.sort.plan, planned);
-    if (planned.io_total > greedy.io_total ||
-        planned.modeled_seconds > greedy.modeled_seconds) {
-      std::fprintf(stderr,
-                   "FATAL: planned merge costs more than greedy at M=%llu "
-                   "(io %llu vs %llu, model %.3f vs %.3f)\n",
-                   static_cast<unsigned long long>(memory_blocks),
-                   static_cast<unsigned long long>(planned.io_total),
-                   static_cast<unsigned long long>(greedy.io_total),
-                   planned.modeled_seconds, greedy.modeled_seconds);
-      return 1;
-    }
-    if (memory_blocks == 52 &&
-        (planned.io_total >= greedy.io_total ||
-         planned.modeled_seconds >= greedy.modeled_seconds)) {
-      std::fprintf(stderr,
-                   "FATAL: planned merge win not strict at M=52 "
-                   "(io %llu vs %llu)\n",
-                   static_cast<unsigned long long>(planned.io_total),
-                   static_cast<unsigned long long>(greedy.io_total));
-      return 1;
-    }
-    if (SequentialReadShare(planned) + 1e-9 < SequentialReadShare(greedy)) {
-      std::fprintf(stderr,
-                   "FATAL: DFS placement lowered the sequential-read share "
-                   "at M=%llu (%.3f vs %.3f)\n",
-                   static_cast<unsigned long long>(memory_blocks),
-                   SequentialReadShare(planned), SequentialReadShare(greedy));
-      return 1;
-    }
   }
 
   // Skewed run lengths (replacement selection over alternating presorted
-  // stretches and shuffled bursts): the carry DP's home turf. Outputs
-  // must stay byte-identical; the planned schedule must not merge more
-  // bytes than greedy.
+  // stretches and shuffled bursts): the carry DP's home turf.
   std::string skewed_xml = MakeFlatDoc(SkewedSegmentIds(20000, /*seed=*/42));
   for (uint64_t memory_blocks : {32}) {
-    std::string greedy_out;
-    std::string planned_out;
-    RunResult greedy = RunNexSort(
-        skewed_xml, memory_blocks,
-        NexMergeOptions(MergePolicy::kGreedy, /*placement=*/false),
-        kBlockSize, json_log.enabled(), &greedy_out);
-    CheckOk(greedy, "nexsort greedy merge");
     RunResult planned = RunNexSort(
         skewed_xml, memory_blocks,
-        NexMergeOptions(MergePolicy::kPlanned, /*placement=*/true),
-        kBlockSize, json_log.enabled(), &planned_out);
+        NexPolicyOptions(RunFormationPolicy::kReplacementSelection),
+        kBlockSize, json_log.enabled());
     CheckOk(planned, "nexsort planned merge");
-    if (greedy_out != planned_out) {
-      std::fprintf(stderr,
-                   "FATAL: merge policies disagree on the skewed workload "
-                   "at M=%llu (outputs must be byte-identical)\n",
-                   static_cast<unsigned long long>(memory_blocks));
-      return 1;
-    }
     if (planned.nexsort_stats.sorts.merge_plan.plans == 0) {
       std::fprintf(stderr,
                    "FATAL: the skewed workload formed a single run — no "
                    "merge was planned, the sweep measures nothing\n");
       return 1;
     }
-    if (planned.nexsort_stats.sorts.merge_plan.actual_bytes >
-        greedy.nexsort_stats.sorts.merge_plan.actual_bytes) {
-      std::fprintf(stderr,
-                   "FATAL: planned merge moved more bytes than greedy on "
-                   "the skewed workload\n");
-      return 1;
-    }
-    json_log.AddRow("nexsort_merge_greedy_skewed",
-                    {{"memory_blocks", memory_blocks}}, greedy);
     json_log.AddRow("nexsort_merge_planned_skewed",
                     {{"memory_blocks", memory_blocks}}, planned);
-    PrintMergeRow("skewed", memory_blocks,
-                  greedy.nexsort_stats.sorts.merge_plan, greedy);
     PrintMergeRow("skewed", memory_blocks,
                   planned.nexsort_stats.sorts.merge_plan, planned);
   }
@@ -380,9 +294,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nexpected shape: replacement selection roughly halves the run count\n"
       "on random input and collapses nearly-sorted input to a single run\n"
-      "with zero merge passes; the planned merge schedule never exceeds\n"
-      "greedy's I/O and wins strictly past the fan-in boundary; outputs\n"
-      "are byte-identical throughout.\n");
+      "with zero merge passes; NEXSORT outputs are byte-identical across\n"
+      "run-formation policies; the planned merge rows carry fan-in >= 2\n"
+      "on every step.\n");
   json_log.Write();
   return 0;
 }

@@ -18,10 +18,6 @@
 //     --output FILE          daemon stages + atomically renames here
 //     --stream               sort jobs: daemon drains the pull-based
 //                            SortedStream and reports time_to_first_byte_ms
-//     --merge-policy P       sort jobs: merge scheduling, planned (default)
-//                            or greedy (docs/MERGE_PLANNING.md)
-//     --no-dfs-placement     sort jobs: keep final runs on the scratch
-//                            free list instead of contiguous extents
 //     --print                wait and print the result document to stdout
 //     --wait                 block until the job is terminal
 //   status --job ID          one job record
@@ -63,8 +59,7 @@ void Usage(FILE* out) {
       "  submit [--kind sort|merge|batch_update] [--tenant NAME]\n"
       "         [--priority P] [--order SPEC] [--input FILE]\n"
       "         [--input-path FILE] [--inputs F1,F2,...] [--updates FILE]\n"
-      "         [--output FILE] [--stream] [--merge-policy planned|greedy]\n"
-      "         [--no-dfs-placement] [--print] [--wait]\n"
+      "         [--output FILE] [--stream] [--print] [--wait]\n"
       "  status --job ID | wait --job ID | cancel --job ID\n");
 }
 
@@ -270,8 +265,6 @@ int main(int argc, char** argv) {
   bool have_updates = false;
   std::string output_path;
   bool stream = false;
-  std::string merge_policy;
-  bool dfs_placement = true;
   bool print_result = false;
   bool wait = false;
 
@@ -311,15 +304,6 @@ int main(int argc, char** argv) {
       output_path = next();
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--merge-policy") {
-      merge_policy = next();
-      if (merge_policy != "planned" && merge_policy != "greedy") {
-        std::fprintf(stderr, "unknown --merge-policy '%s'\n",
-                     merge_policy.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-dfs-placement") {
-      dfs_placement = false;
     } else if (arg == "--print") {
       print_result = true;
       wait = true;
@@ -370,14 +354,6 @@ int main(int argc, char** argv) {
   if (!output_path.empty()) {
     writer.Key("output");
     writer.String(output_path);
-  }
-  if (!merge_policy.empty()) {
-    writer.Key("merge_policy");
-    writer.String(merge_policy);
-  }
-  if (!dfs_placement) {
-    writer.Key("dfs_placement");
-    writer.Bool(false);
   }
   if (stream) {
     writer.Key("stream");

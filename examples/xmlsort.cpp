@@ -41,15 +41,6 @@
 //                         length on random input, a single run on
 //                         nearly-sorted input; output is byte-identical
 //                         either way). See docs/RUN_FORMATION.md
-//   --merge-policy P      merge-scheduling policy for external sorts:
-//                         planned (default; optimized merge patterns that
-//                         never run more passes or move more bytes) or
-//                         greedy (the left-to-right baseline, kept for
-//                         A/B comparisons; output is byte-identical
-//                         either way). See docs/MERGE_PLANNING.md
-//   --no-dfs-placement    keep output runs on scratch blocks instead of
-//                         laying them in ascending contiguous extents for
-//                         the output DFS (docs/MERGE_PLANNING.md)
 //   --stream              pull sorted output incrementally through the
 //                         SortedStream API instead of the eager Sort call;
 //                         output bytes are identical, and the stats gain
@@ -148,10 +139,8 @@ void Usage() {
                "[--block-kb B] [--threshold-blocks T] [--cache-blocks N] "
                "[--readahead N]\n               [--threads N] "
                "[--prefetch-depth K] [--graceful] [--stats]\n               "
-               "[--run-formation quicksort|replacement]\n               "
-               "[--merge-policy planned|greedy] [--no-dfs-placement] "
-               "[--stream]\n               "
-               "[--sample-interval-ms N] [--timeline-out FILE] "
+               "[--run-formation quicksort|replacement] [--stream]\n"
+               "               [--sample-interval-ms N] [--timeline-out FILE] "
                "[--chrome-trace FILE] [--progress]\n               "
                "<input.xml> <output.xml>\n");
   std::exit(2);
@@ -176,8 +165,6 @@ int main(int argc, char** argv) {
   bool graceful = false;
   bool stream_mode = false;
   RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
-  MergePolicy merge_policy = MergePolicy::kPlanned;
-  bool dfs_placement = true;
   bool show_stats = false;
   std::string stats_json_path;
   std::string trace_out_path;
@@ -247,18 +234,6 @@ int main(int argc, char** argv) {
                      policy.c_str());
         return 2;
       }
-    } else if (arg == "--merge-policy") {
-      std::string policy = next();
-      if (policy == "planned") {
-        merge_policy = MergePolicy::kPlanned;
-      } else if (policy == "greedy") {
-        merge_policy = MergePolicy::kGreedy;
-      } else {
-        std::fprintf(stderr, "unknown --merge-policy '%s'\n", policy.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-dfs-placement") {
-      dfs_placement = false;
     } else if (arg == "--stream") {
       stream_mode = true;
     } else if (arg == "--graceful") {
@@ -484,8 +459,6 @@ int main(int argc, char** argv) {
   options.record_order_attribute = record_order;
   options.strip_attribute = strip_attr;
   options.run_formation = run_formation;
-  options.merge_policy = merge_policy;
-  options.dfs_placement = dfs_placement;
   NexSorter sorter(env.get(), options);
 
   FileSource source(input);
@@ -594,9 +567,8 @@ int main(int argc, char** argv) {
       const MergePlanStats& plan = stats.sorts.merge_plan;
       std::fprintf(
           stderr,
-          "merge plan (%s): %llu steps over %llu runs, fan-in %llu-%llu, "
+          "merge plan: %llu steps over %llu runs, fan-in %llu-%llu, "
           "%.1f MiB merged\n",
-          MergePolicyName(plan.policy),
           static_cast<unsigned long long>(plan.steps),
           static_cast<unsigned long long>(plan.input_runs),
           static_cast<unsigned long long>(plan.fanin_min),
@@ -704,10 +676,6 @@ int main(int argc, char** argv) {
       json.Uint(runs.max_run_blocks);
       json.Key("merge_passes");
       json.Uint(sorter.stats().sorts.merge_passes);
-      json.Key("merge_policy");
-      json.String(MergePolicyName(merge_policy));
-      json.Key("dfs_placement");
-      json.Bool(dfs_placement);
       // Merge-schedule accounting (docs/MERGE_PLANNING.md): only present
       // when at least one external sort actually ran merge steps.
       const MergePlanStats& plan = sorter.stats().sorts.merge_plan;

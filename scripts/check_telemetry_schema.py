@@ -278,14 +278,11 @@ def check_sessions(sessions, allow_idle=False):
 
 RUN_FORMATION_POLICIES = ("quicksort_chunks", "replacement_selection")
 
-MERGE_POLICIES = ("greedy", "planned")
-
-MERGE_PLAN_KEYS = ("policy", "plans", "steps", "input_runs", "fanin_min",
-                   "fanin_max", "fanin_total", "predicted_bytes",
-                   "actual_bytes")
+MERGE_PLAN_KEYS = ("plans", "steps", "input_runs", "fanin_min", "fanin_max",
+                   "fanin_total", "predicted_bytes", "actual_bytes")
 
 
-def check_merge_plan(plan, where, runs_formed=None, expect_merge_policy=None):
+def check_merge_plan(plan, where, runs_formed=None):
     """Validate a merge_plan block (docs/MERGE_PLANNING.md): the aggregated
     merge-schedule accounting of every external sort that ran merge steps.
 
@@ -294,30 +291,20 @@ def check_merge_plan(plan, where, runs_formed=None, expect_merge_policy=None):
     consumed downstream, so fanin_total == input_runs + steps - plans.
     """
     for key in MERGE_PLAN_KEYS:
-        check(key in plan, f"{where}: missing key '{key}'")
-    check(plan.get("policy") in MERGE_POLICIES,
-          f"{where}: unknown policy {plan.get('policy')!r}")
-    if expect_merge_policy is not None:
-        check(plan.get("policy") == expect_merge_policy,
-              f"{where}: policy is {plan.get('policy')!r}, "
-              f"expected {expect_merge_policy!r}")
-    for key in MERGE_PLAN_KEYS[1:]:
         check(isinstance(plan.get(key), int),
-              f"{where}: '{key}' is not an integer")
-    if not all(isinstance(plan.get(k), int) for k in MERGE_PLAN_KEYS[1:]):
+              f"{where}: '{key}' is missing or not an integer")
+    if not all(isinstance(plan.get(k), int) for k in MERGE_PLAN_KEYS):
         return
     check(plan["plans"] > 0, f"{where}: present but records no plans")
     check(plan["steps"] >= plan["plans"],
           f"{where}: fewer steps than plans")
     check(plan["input_runs"] >= 2 * plan["plans"],
           f"{where}: a plan must merge at least two runs")
-    check(plan["fanin_min"] >= 1 and plan["fanin_max"] >= plan["fanin_min"],
+    # The planner never emits copy steps: every step merges >= 2 runs.
+    check(plan["fanin_min"] >= 2,
+          f"{where}: a merge step has fan-in < 2 (copy step)")
+    check(plan["fanin_max"] >= plan["fanin_min"],
           f"{where}: fan-in bounds are inconsistent")
-    if plan.get("policy") == "planned":
-        # The planner never emits copy steps; only the greedy baseline
-        # carries fan-in-1 trailing groups.
-        check(plan["fanin_min"] >= 2,
-              f"{where}: planned policy emitted a fan-in < 2 step")
     check(plan["fanin_total"] ==
           plan["input_runs"] + plan["steps"] - plan["plans"],
           f"{where}: fanin_total {plan['fanin_total']} != input_runs "
@@ -330,31 +317,20 @@ def check_merge_plan(plan, where, runs_formed=None, expect_merge_policy=None):
               f"{where}: input_runs exceeds runs_formed {runs_formed}")
 
 
-def check_sort_block(sort, expect_policy=None, expect_streaming=None,
-                     expect_merge_policy=None):
+def check_sort_block(sort, expect_policy=None, expect_streaming=None):
     """Validate the stats.sort block: run-formation counters plus the
     streaming output measurements (docs/RUN_FORMATION.md)."""
     for key in ("run_formation", "runs_formed", "avg_run_blocks",
-                "max_run_blocks", "merge_passes", "merge_policy",
-                "dfs_placement", "streaming",
+                "max_run_blocks", "merge_passes", "streaming",
                 "time_to_first_byte_ms", "wall_ms"):
         check(key in sort, f"stats.sort: missing key '{key}'")
-    check(sort.get("merge_policy") in MERGE_POLICIES,
-          f"stats.sort: unknown merge_policy {sort.get('merge_policy')!r}")
-    if expect_merge_policy is not None:
-        check(sort.get("merge_policy") == expect_merge_policy,
-              f"stats.sort: merge_policy is {sort.get('merge_policy')!r}, "
-              f"expected {expect_merge_policy!r}")
-    check(isinstance(sort.get("dfs_placement"), bool),
-          "stats.sort: dfs_placement is not a bool")
     # merge_plan accounting exists exactly when merge steps actually ran.
     if sort.get("merge_passes", 0) > 0:
         check("merge_plan" in sort,
               "stats.sort: merge passes ran but merge_plan is missing")
         if "merge_plan" in sort:
             check_merge_plan(sort["merge_plan"], "stats.sort.merge_plan",
-                             runs_formed=sort.get("runs_formed"),
-                             expect_merge_policy=expect_merge_policy)
+                             runs_formed=sort.get("runs_formed"))
     else:
         check("merge_plan" not in sort,
               "stats.sort: merge_plan present though no merge pass ran")
@@ -400,8 +376,7 @@ def check_sort_block(sort, expect_policy=None, expect_streaming=None,
 
 
 def check_stats(stats, cache_enabled=False, parallel_enabled=False,
-                expect_policy=None, expect_streaming=None,
-                expect_merge_policy=None):
+                expect_policy=None, expect_streaming=None):
     check(stats.get("schema") == "nexsort-stats-v1",
           f"stats schema is {stats.get('schema')!r}, "
           "expected 'nexsort-stats-v1'")
@@ -411,8 +386,7 @@ def check_stats(stats, cache_enabled=False, parallel_enabled=False,
         check(key in stats, f"stats: missing top-level key '{key}'")
     if "sort" in stats:
         check_sort_block(stats["sort"], expect_policy=expect_policy,
-                         expect_streaming=expect_streaming,
-                         expect_merge_policy=expect_merge_policy)
+                         expect_streaming=expect_streaming)
     nexsort = stats.get("nexsort", {})
     sorts = nexsort.get("sorts", {}) if isinstance(nexsort, dict) else {}
     for key in ("runs_formed", "avg_run_blocks", "max_run_blocks",
@@ -422,8 +396,7 @@ def check_stats(stats, cache_enabled=False, parallel_enabled=False,
     # unconditional (all-zero when no external sort merged).
     if isinstance(sorts.get("merge_plan"), dict) and \
             sorts["merge_plan"].get("plans", 0) > 0:
-        check_merge_plan(sorts["merge_plan"], "stats.nexsort.sorts.merge_plan",
-                         expect_merge_policy=expect_merge_policy)
+        check_merge_plan(sorts["merge_plan"], "stats.nexsort.sorts.merge_plan")
     if "env" in stats:
         check_env(stats["env"], stats)
     check(isinstance(stats.get("memory_peak_blocks"), int),
@@ -676,38 +649,33 @@ def main():
         workdir = Path(args.keep) if args.keep else Path(tmp)
         workdir.mkdir(parents=True, exist_ok=True)
 
-        # Seven runs: the default (cache and pipeline off, the stats blocks
+        # Six runs: the default (cache and pipeline off, the stats blocks
         # must say so), a cached run (cache counters populated and mirrored
         # into the telemetry), a parallel run (worker threads + merge
         # prefetching; parallel counters populated, output byte-identical
         # to the serial runs), a sampled run (live sampler on, timeline
         # JSONL validated record-by-record; sampling must not change the
         # sorted bytes either), a replacement-selection run (the sort block
-        # names the policy; output still byte-identical), a streamed
+        # names the policy; output still byte-identical), and a streamed
         # run (pull-based output; time_to_first_byte_ms recorded and
-        # bounded by the wall time, bytes identical again), and a greedy
-        # merge-policy run with placement off (the A/B baseline of
-        # docs/MERGE_PLANNING.md; output byte-identical once more).
+        # bounded by the wall time, bytes identical again).
         sample_interval_ms = 2
         outputs = {}
         for (label, extra, cache_enabled, parallel_enabled,
-             expect_policy, expect_streaming, expect_merge_policy) in (
-            ("default", [], False, False, "quicksort_chunks", False,
-             "planned"),
+             expect_policy, expect_streaming) in (
+            ("default", [], False, False, "quicksort_chunks", False),
             ("cached", ["--cache-blocks", "32", "--readahead", "4"],
-             True, False, "quicksort_chunks", False, "planned"),
+             True, False, "quicksort_chunks", False),
             ("parallel", ["--cache-blocks", "32", "--threads", "2",
                           "--prefetch-depth", "4"], True, True,
-             "quicksort_chunks", False, "planned"),
+             "quicksort_chunks", False),
             ("sampled", ["--cache-blocks", "32", "--threads", "2",
                          "--sample-interval-ms", str(sample_interval_ms)],
-             True, True, "quicksort_chunks", False, "planned"),
+             True, True, "quicksort_chunks", False),
             ("replacement", ["--run-formation", "replacement"],
-             False, False, "replacement_selection", False, "planned"),
+             False, False, "replacement_selection", False),
             ("streamed", ["--stream"], False, False,
-             "quicksort_chunks", True, "planned"),
-            ("greedy", ["--merge-policy", "greedy", "--no-dfs-placement"],
-             False, False, "quicksort_chunks", False, "greedy"),
+             "quicksort_chunks", True),
         ):
             stats_path = workdir / f"stats-{label}.json"
             trace_path = workdir / f"trace-{label}.jsonl"
@@ -738,8 +706,7 @@ def main():
             check_stats(stats, cache_enabled=cache_enabled,
                         parallel_enabled=parallel_enabled,
                         expect_policy=expect_policy,
-                        expect_streaming=expect_streaming,
-                        expect_merge_policy=expect_merge_policy)
+                        expect_streaming=expect_streaming)
             check(output_path.exists() and output_path.stat().st_size > 0,
                   f"xmlsort ({label}) produced no output document")
             check_trace(trace_path)

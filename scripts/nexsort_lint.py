@@ -123,7 +123,6 @@ CANONICAL_HEADER = {
     "ServiceClient": "service/client.h",
     "RunFormationPolicy": "sort/run_formation.h",
     "RunFormationStats": "sort/run_formation.h",
-    "MergePolicy": "sort/merge_plan.h",
     "MergePlan": "sort/merge_plan.h",
     "MergePlanner": "sort/merge_plan.h",
     "MergeStep": "sort/merge_plan.h",

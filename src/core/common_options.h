@@ -6,7 +6,6 @@
 #pragma once
 
 #include "core/order_spec.h"
-#include "sort/merge_plan.h"
 #include "sort/run_formation.h"
 
 namespace nexsort {
@@ -19,17 +18,6 @@ struct CommonSortOptions {
   /// Output bytes are identical under either policy; only run boundaries
   /// (and therefore merge-pass I/O) change.
   RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
-
-  /// Merge-scheduling policy for every external sort this job performs
-  /// (docs/MERGE_PLANNING.md). Output bytes are identical under either
-  /// policy; kPlanned never runs more passes or moves more bytes than
-  /// kGreedy, which is kept for A/B comparisons.
-  MergePolicy merge_policy = MergePolicy::kPlanned;
-
-  /// Lay final/output runs in ascending contiguous extents so the output
-  /// DFS reads them sequentially (ROADMAP item 4). Affects only which
-  /// device blocks carry a run — never output bytes or logical I/O.
-  bool dfs_placement = true;
 
   /// Depth-limited sorting (paper Section 3.2): sort children of elements
   /// at levels [1, depth_limit] only; 0 sorts head-to-toe.

@@ -53,8 +53,6 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
     }
     sort_options.memory_blocks = sort_blocks;
     sort_options.run_formation = owner->options_.run_formation;
-    sort_options.merge_policy = owner->options_.merge_policy;
-    sort_options.dfs_placement = owner->options_.dfs_placement;
     sort_options.tracer = owner->tracer_;
     sort_options.parallel = owner->session_.parallel();
     sort_options.buffer_pool = owner->session_.buffer_pool();

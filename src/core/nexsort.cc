@@ -100,8 +100,6 @@ NexSorter::NexSorter(SortEnv::Session session, NexSortOptions options)
   sort_context_.format = format_;
   sort_context_.depth_limit = options_.depth_limit;
   sort_context_.run_formation = options_.run_formation;
-  sort_context_.merge_policy = options_.merge_policy;
-  sort_context_.dfs_placement = options_.dfs_placement;
   sort_context_.parallel = session_.parallel();
   sort_context_.buffer_pool = session_.buffer_pool();
   sort_context_.cancel = session_.cancellation();

@@ -365,10 +365,8 @@ StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
 
   // This run is re-read by the output DFS long after later subtree sorts
   // have churned the free list: place it so that read-back is sequential.
-  RunWriter writer = ctx.store->NewRun(
-      IoCategory::kRunWrite, ctx.dfs_placement
-                                 ? PlacementHint::kSequentialOutput
-                                 : PlacementHint::kScratch);
+  RunWriter writer = ctx.store->NewRun(IoCategory::kRunWrite,
+                                      PlacementHint::kSequentialOutput);
   RETURN_IF_ERROR(writer.init_status());
   if (forest.fragments.empty()) {
     std::string buffer;
@@ -439,8 +437,6 @@ ExternalSubtreeSorter::ExternalSubtreeSorter(const SubtreeSortContext& ctx,
   sort_options.buffer_pool = ctx.buffer_pool;
   sort_options.cancel = ctx.cancel;
   sort_options.run_formation = ctx.run_formation;
-  sort_options.merge_policy = ctx.merge_policy;
-  sort_options.dfs_placement = ctx.dfs_placement;
   sorter_ = std::make_unique<ExternalMergeSorter>(ctx.store, sort_options);
   status_ = sorter_->init_status();
 }
@@ -530,11 +526,9 @@ StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {
   RETURN_IF_ERROR(sorter_->Finish());
 
   // Like the in-memory path's output run: the DFS re-reads this later, so
-  // place it sequentially when asked.
-  RunWriter writer = ctx_.store->NewRun(
-      IoCategory::kRunWrite, ctx_.dfs_placement
-                                 ? PlacementHint::kSequentialOutput
-                                 : PlacementHint::kScratch);
+  // place it sequentially.
+  RunWriter writer = ctx_.store->NewRun(IoCategory::kRunWrite,
+                                       PlacementHint::kSequentialOutput);
   RETURN_IF_ERROR(writer.init_status());
   std::string key;
   std::string value;

@@ -60,14 +60,6 @@ struct SubtreeSortContext {
   /// Run-formation policy (docs/RUN_FORMATION.md), forwarded to the
   /// external merge sorts run for oversized subtrees.
   RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
-
-  /// Merge-scheduling policy (docs/MERGE_PLANNING.md), forwarded to the
-  /// external merge sorts run for oversized subtrees.
-  MergePolicy merge_policy = MergePolicy::kPlanned;
-
-  /// Place output runs — the sorted-subtree runs the output DFS re-reads —
-  /// in ascending contiguous extents (PlacementHint::kSequentialOutput).
-  bool dfs_placement = true;
 };
 
 /// Statistics accumulated across the subtree sorts of one NEXSORT run.

@@ -104,46 +104,6 @@ Status RunStore::SnapshotBlocks(RunHandle handle,
   return Status::OK();
 }
 
-Status RunStore::RelocateSequential(RunHandle* handle, IoCategory category) {
-  std::vector<uint64_t> old_blocks;
-  RETURN_IF_ERROR(SnapshotBlocks(*handle, &old_blocks));
-  if (old_blocks.empty()) return Status::OK();
-  bool already_sequential = true;
-  for (size_t i = 1; i < old_blocks.size(); ++i) {
-    if (old_blocks[i] != old_blocks[i - 1] + 1) {
-      already_sequential = false;
-      break;
-    }
-  }
-  if (already_sequential) return Status::OK();
-  // One block of copy buffer, charged like any reader's.
-  BudgetReservation copy_buffer;
-  RETURN_IF_ERROR(copy_buffer.Acquire(budget_, 1));
-  // A fresh device extent is contiguous ascending by construction; the
-  // whole point here is perfect sequentiality, so do not compromise with
-  // scattered free-list blocks.
-  uint64_t first = 0;
-  RETURN_IF_ERROR(device_->Allocate(old_blocks.size(), &first));
-  std::string buffer(device_->block_size(), '\0');
-  for (size_t i = 0; i < old_blocks.size(); ++i) {
-    RETURN_IF_ERROR(device_->Read(old_blocks[i], buffer.data(), category));
-    RETURN_IF_ERROR(device_->Write(first + i, buffer.data(), category));
-  }
-  {
-    MutexLock lock(&mutex_);
-    std::vector<uint64_t>& blocks = run_blocks_[handle->id];
-    if (blocks.size() != old_blocks.size()) {
-      return Status::InvalidArgument(
-          "run changed during relocation (concurrent free?)");
-    }
-    for (size_t i = 0; i < blocks.size(); ++i) blocks[i] = first + i;
-    free_blocks_.insert(free_blocks_.end(), old_blocks.begin(),
-                        old_blocks.end());
-    DcheckBalancedLocked();
-  }
-  return Status::OK();
-}
-
 Status RunStore::FreeRun(RunHandle handle) {
   {
     MutexLock lock(&mutex_);

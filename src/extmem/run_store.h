@@ -91,18 +91,6 @@ class RunStore {
   /// need block ids without holding a reader.
   [[nodiscard]] Status SnapshotBlocks(RunHandle handle, std::vector<uint64_t>* blocks);
 
-  /// Rewrite `handle`'s payload into freshly allocated ascending contiguous
-  /// blocks and retarget its block index (the handle itself — id and byte
-  /// size — is unchanged; the old blocks join the free list). Costs one
-  /// read + one write per block plus a one-block budget reservation, so it
-  /// only pays off for runs that will be re-read several times; the merge
-  /// path instead writes final runs placed from the start
-  /// (PlacementHint::kSequentialOutput). The caller must guarantee no
-  /// concurrent reader holds a snapshot of this run — a reader opened
-  /// before relocation would read recycled blocks.
-  [[nodiscard]] Status RelocateSequential(
-      RunHandle* handle, IoCategory category = IoCategory::kRunWrite);
-
   /// Total blocks currently owned by live runs.
   uint64_t live_blocks() const {
     return live_blocks_.load(std::memory_order_relaxed);

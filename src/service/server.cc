@@ -305,8 +305,6 @@ std::string SocketServer::HandleSubmit(const JsonValue& request) {
   job.output_path = request.GetString("output");
   job.return_output = request.GetBool("return_output", false);
   job.stream = request.GetBool("stream", false);
-  job.merge_policy = request.GetString("merge_policy");
-  job.dfs_placement = request.GetBool("dfs_placement", true);
 
   job.input_text = request.GetString("input_text");
   std::string input_path = request.GetString("input_path");

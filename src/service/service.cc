@@ -10,7 +10,6 @@
 #include "merge/batch_update.h"
 #include "merge/structural_merge.h"
 #include "obs/json_writer.h"
-#include "sort/merge_plan.h"
 
 namespace nexsort {
 
@@ -234,11 +233,6 @@ Status SortService::Submit(JobRequest request, uint64_t* job_id,
   if (request.stream && request.kind != JobRequest::Kind::kSort) {
     return Status::InvalidArgument("stream mode applies to sort jobs only");
   }
-  if (!request.merge_policy.empty() && request.merge_policy != "planned" &&
-      request.merge_policy != "greedy") {
-    return Status::InvalidArgument("unknown merge_policy '" +
-                                   request.merge_policy + "'");
-  }
 
   uint64_t input_bytes = request.input_text.size() +
                          request.updates_text.size();
@@ -337,10 +331,6 @@ Status SortService::ExecuteJob(JobRecord* record) {
     case JobRequest::Kind::kSort: {
       NexSortOptions sort_options;
       sort_options.order = record->order;
-      if (request.merge_policy == "greedy") {
-        sort_options.merge_policy = MergePolicy::kGreedy;
-      }
-      sort_options.dfs_placement = request.dfs_placement;
       NexSorter sorter(std::move(session), std::move(sort_options));
       StringByteSource source(request.input_text);
       if (request.stream) {

@@ -97,15 +97,6 @@ struct JobRequest {
   /// `time_to_first_byte_ms` — the latency until the first sorted chunk
   /// surfaced — in `nexsortd-stats-v1`.
   bool stream = false;
-
-  /// Sort jobs only: merge-scheduling policy — "planned" (default),
-  /// "greedy", or "" (= planned). Output bytes are identical either way
-  /// (docs/MERGE_PLANNING.md); greedy is kept for A/B comparisons.
-  std::string merge_policy;
-
-  /// Sort jobs only: place output runs in contiguous extents for the
-  /// output DFS (docs/MERGE_PLANNING.md). Never changes output bytes.
-  bool dfs_placement = true;
 };
 
 struct JobStatus {

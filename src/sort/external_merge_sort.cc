@@ -260,9 +260,7 @@ Status ExternalMergeSorter::MergeAll() {
   std::vector<uint64_t> run_bytes;
   run_bytes.reserve(runs_.size());
   for (const RunHandle& run : runs_) run_bytes.push_back(run.byte_size);
-  const MergePlan plan =
-      MergePlanner::Plan(run_bytes, fan_in, options_.merge_policy);
-  stats_.plan.policy = options_.merge_policy;
+  const MergePlan plan = MergePlanner::Plan(run_bytes, fan_in);
   ++stats_.plan.plans;
   stats_.plan.input_runs += plan.num_inputs;
 
@@ -286,9 +284,10 @@ Status ExternalMergeSorter::MergeAll() {
       ++stats_.merge_passes;
     }
     const size_t width = step.inputs.size();
+    NEXSORT_DCHECK_MSG(width >= 2, "merge plan emitted a copy step");
     if (options_.tracer != nullptr) {
-      // Every step records its true fan-in (the trailing group of a greedy
-      // pass — and every planned carry-pass window — is narrower than F).
+      // Every step records its true fan-in (a carry-pass window is
+      // narrower than F).
       options_.tracer->metrics()->GetHistogram("merge_fan_in")
           ->Record(width);
     }
@@ -327,9 +326,8 @@ Status ExternalMergeSorter::MergeAll() {
     RunHandle merged;
     Status step_status = tree.Init();
     if (step_status.ok()) {
-      const PlacementHint hint = step.final && options_.dfs_placement
-                                     ? PlacementHint::kSequentialOutput
-                                     : PlacementHint::kScratch;
+      const PlacementHint hint = step.final ? PlacementHint::kSequentialOutput
+                                            : PlacementHint::kScratch;
       RunWriter writer = store_->NewRun(options_.temp_category, hint);
       step_status = writer.init_status();
       while (step_status.ok()) {

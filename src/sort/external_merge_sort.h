@@ -75,17 +75,6 @@ struct ExtSortOptions {
   /// are byte-identical under either policy; replacement selection forms
   /// fewer, longer runs and therefore fewer merge passes.
   RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
-
-  /// How the merge phase is scheduled (docs/MERGE_PLANNING.md). Output
-  /// records are byte-identical under either policy; kPlanned never moves
-  /// more bytes or runs more passes than kGreedy.
-  MergePolicy merge_policy = MergePolicy::kPlanned;
-
-  /// Lay the final merged run in ascending contiguous extents
-  /// (PlacementHint::kSequentialOutput) so draining it reads
-  /// sequentially. Changes which block ids carry the run, never its
-  /// contents or logical I/O count.
-  bool dfs_placement = true;
 };
 
 struct ExtSortStats {
@@ -192,10 +181,10 @@ class ExternalMergeSorter {
   /// Fold pstats_ into the attached ParallelContext, exactly once.
   void PublishStats();
 
-  /// Plan the merge of the formed runs (MergePlanner, per merge_policy)
-  /// and execute the plan step by step: open the step's inputs, loser-tree
-  /// them into one output run (placed per dfs_placement on the final
-  /// step), free the inputs. runs_ tracks the live runs exactly as steps
+  /// Plan the merge of the formed runs (MergePlanner) and execute the plan
+  /// step by step: open the step's inputs, loser-tree them into one output
+  /// run (the final step's in ascending contiguous extents, so draining it
+  /// reads sequentially), free the inputs. runs_ tracks the live runs exactly as steps
   /// complete, so the destructor frees each leftover once on any error.
   [[nodiscard]] Status MergeAll();
 

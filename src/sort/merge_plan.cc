@@ -36,25 +36,6 @@ uint32_t EmitStep(MergePlan* plan, Level* level, size_t begin, size_t count,
   return plan->steps.back().output;
 }
 
-// The historical merge loop, expressed as a plan: left-to-right groups of
-// `fan_in` runs every pass; a trailing group of one run becomes a fan-in-1
-// copy step, exactly as the old code rewrote it through the loser tree.
-void PlanGreedy(MergePlan* plan, Level* level, uint64_t fan_in) {
-  uint32_t pass = 0;
-  while (level->nodes.size() > 1) {
-    Level next;
-    for (size_t i = 0; i < level->nodes.size(); i += fan_in) {
-      size_t count = std::min<size_t>(fan_in, level->nodes.size() - i);
-      uint32_t out = EmitStep(plan, level, i, count, pass);
-      next.nodes.push_back(out);
-      next.bytes.push_back(plan->node_bytes[out]);
-    }
-    *level = std::move(next);
-    ++pass;
-  }
-  plan->passes = pass;
-}
-
 // Raise fan_in to `exp` without overflow; saturates at `limit` (callers
 // only compare the result against counts <= limit).
 uint64_t PowClamped(uint64_t fan_in, uint32_t exp, uint64_t limit) {
@@ -190,16 +171,6 @@ void PlanOptimized(MergePlan* plan, Level* level, uint64_t fan_in) {
 
 }  // namespace
 
-const char* MergePolicyName(MergePolicy policy) {
-  switch (policy) {
-    case MergePolicy::kGreedy:
-      return "greedy";
-    case MergePolicy::kPlanned:
-      return "planned";
-  }
-  return "unknown";
-}
-
 uint64_t MergePlan::predicted_bytes_moved() const {
   uint64_t total = 0;
   for (const MergeStep& step : steps) total += node_bytes[step.output];
@@ -217,10 +188,9 @@ uint32_t MergePlanner::GreedyPassCount(uint64_t runs, uint64_t fan_in) {
 }
 
 MergePlan MergePlanner::Plan(const std::vector<uint64_t>& run_bytes,
-                             uint64_t fan_in, MergePolicy policy) {
+                             uint64_t fan_in) {
   NEXSORT_DCHECK(fan_in >= 2);
   MergePlan plan;
-  plan.policy = policy;
   plan.num_inputs = static_cast<uint32_t>(run_bytes.size());
   plan.node_bytes = run_bytes;
   if (run_bytes.size() <= 1) return plan;
@@ -230,11 +200,7 @@ MergePlan MergePlanner::Plan(const std::vector<uint64_t>& run_bytes,
   for (uint32_t i = 0; i < level.nodes.size(); ++i) level.nodes[i] = i;
   level.bytes = run_bytes;
 
-  if (policy == MergePolicy::kGreedy) {
-    PlanGreedy(&plan, &level, fan_in);
-  } else {
-    PlanOptimized(&plan, &level, fan_in);
-  }
+  PlanOptimized(&plan, &level, fan_in);
   NEXSORT_DCHECK(!plan.steps.empty());
   plan.steps.back().final = true;
   return plan;
@@ -242,8 +208,6 @@ MergePlan MergePlanner::Plan(const std::vector<uint64_t>& run_bytes,
 
 void MergePlanStats::ToJson(JsonWriter* writer) const {
   writer->BeginObject();
-  writer->Key("policy");
-  writer->String(MergePolicyName(policy));
   writer->Key("plans");
   writer->Uint(plans);
   writer->Key("steps");

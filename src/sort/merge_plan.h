@@ -3,33 +3,31 @@
 // sizes and the merge fan-in (M-1 readers) and emits a MergePlan — a DAG of
 // MergeSteps — that the ExternalMergeSorter executes mechanically.
 //
-// Two policies:
-//
-//  * kGreedy reproduces the classic left-to-right full-fan-in loop the
-//    sorter always ran: every pass rewrites every byte, and a trailing
-//    group of one run is literally copied (fan-in 1). Kept for A/B
-//    comparisons and as the cost baseline the planner must beat.
-//  * kPlanned applies the optimized-merge-pattern techniques from the
-//    external-merge-sort literature (cf. the CS764 material in
-//    SNIPPETS.md): size the *first* merge of a pass so every later merge
-//    runs at full fan-in, carry the largest runs through a pass untouched
-//    (zero bytes moved for them), and degrade gracefully — when the run
-//    count barely exceeds the fan-in, merge only enough of the smallest
-//    runs to fit instead of paying a full extra pass over everything.
+// The planner applies the optimized-merge-pattern techniques from the
+// external-merge-sort literature (cf. the CS764 material in SNIPPETS.md):
+// size the *first* merge of a pass so every later merge runs at full
+// fan-in, carry the largest runs through a pass untouched (zero bytes
+// moved for them), and degrade gracefully — when the run count barely
+// exceeds the fan-in, merge only enough of the smallest runs to fit
+// instead of paying a full extra pass over everything. Its cost baseline
+// is the classic left-to-right full-fan-in loop ("greedy"): GreedyPassCount
+// is the planner's pass ceiling, and tests/merge_plan_test.cc keeps the
+// loop itself as the oracle the planner is checked against.
 //
 // Stability constraint: the LoserTree breaks equal keys by (tie_seq,
 // source index), so a merge of runs is stable in source order. Stable
 // merging is associative only over *contiguous* spans — regrouping
 // non-adjacent runs can reorder duplicate keys. Every step in a plan
 // therefore merges a contiguous span of the current run sequence and
-// replaces it in place, which makes the final output byte-identical under
-// either policy, for any key distribution.
+// replaces it in place, which keeps the final output a stable merge of the
+// formed runs for any key distribution.
 //
-// Guarantees (property-tested in tests/merge_plan_test.cc):
-//  * planned pass count  <= greedy pass count,
-//  * planned bytes moved <= greedy bytes moved,
-//  * every input run is consumed exactly once; planned fan-ins are >= 2
-//    (only greedy emits copy steps) and <= fan_in.
+// Guarantees (property-tested in tests/merge_plan_test.cc against the
+// greedy oracle):
+//  * pass count  <= greedy pass count,
+//  * bytes moved <= greedy bytes moved,
+//  * every input run is consumed exactly once; every step's fan-in is
+//    >= 2 (no copy steps) and <= fan_in.
 //
 // See docs/MERGE_PLANNING.md for the plan model and worked examples.
 #pragma once
@@ -40,19 +38,6 @@
 namespace nexsort {
 
 class JsonWriter;
-
-/// How the merge phase schedules its passes (rides on CommonSortOptions so
-/// every sorting entry point — and the nexsortd wire — shares one switch).
-enum class MergePolicy {
-  /// Left-to-right groups at full fan-in, every pass, trailing singleton
-  /// groups copied. The historical behaviour, kept for A/B tests.
-  kGreedy,
-  /// Optimized merge patterns + graceful degradation (see file comment).
-  kPlanned,
-};
-
-/// Short display name for stats JSON ("greedy" / "planned").
-const char* MergePolicyName(MergePolicy policy);
 
 /// One merge: read the runs at `inputs` (indices into the plan's node
 /// table, always a contiguous span of the current run sequence), write one
@@ -72,7 +57,6 @@ struct MergeStep {
 /// byte size of node i (outputs are concatenations, so sizes are known
 /// before any byte moves — that is the "predicted" side of the stats).
 struct MergePlan {
-  MergePolicy policy = MergePolicy::kPlanned;
   uint32_t num_inputs = 0;
   uint32_t passes = 0;
   std::vector<uint64_t> node_bytes;
@@ -90,17 +74,18 @@ struct MergePlan {
 };
 
 /// Builds a MergePlan from formed-run sizes and the memory budget's merge
-/// fan-in. Pure function of its inputs: same runs + same fan-in + same
-/// policy => same plan, so merges replay deterministically.
+/// fan-in. Pure function of its inputs: same runs + same fan-in => same
+/// plan, so merges replay deterministically.
 class MergePlanner {
  public:
   /// `fan_in` >= 2. One run yields an empty plan (no steps); the sorter
   /// skips the merge phase outright in that case.
   static MergePlan Plan(const std::vector<uint64_t>& run_bytes,
-                        uint64_t fan_in, MergePolicy policy);
+                        uint64_t fan_in);
 
-  /// Pass count the greedy policy pays for `runs` runs at `fan_in` — the
-  /// ceiling the planned policy never exceeds.
+  /// Pass count the classic greedy loop (full fan-in groups, every pass)
+  /// pays for `runs` runs at `fan_in` — the ceiling the planner never
+  /// exceeds.
   static uint32_t GreedyPassCount(uint64_t runs, uint64_t fan_in);
 };
 
@@ -111,7 +96,6 @@ class MergePlanner {
 ///   fanin_total == input_runs + steps - plans
 /// holds because every non-root step output is consumed by a later step.
 struct MergePlanStats {
-  MergePolicy policy = MergePolicy::kPlanned;
   uint64_t plans = 0;        // merge phases planned (multi-run sorts only)
   uint64_t steps = 0;
   uint64_t input_runs = 0;   // formed runs consumed by those plans
@@ -132,7 +116,6 @@ struct MergePlanStats {
   }
 
   void MergeFrom(const MergePlanStats& other) {
-    policy = other.plans > 0 ? other.policy : policy;
     plans += other.plans;
     steps += other.steps;
     input_runs += other.input_runs;

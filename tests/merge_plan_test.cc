@@ -1,14 +1,19 @@
 // Merge-planning tests (docs/MERGE_PLANNING.md): the MergePlanner's
-// guarantees (planned passes and bytes never exceed greedy, contiguous
-// in-order steps, every input consumed exactly once), byte-identity of the
-// two policies across every sorting entry point (raw ExternalMergeSorter,
-// NEXSORT eager + streamed, key-path sort, the sort service), exact budget
-// unwind on mid-merge cancellation, DFS-aware run placement (contiguous
-// extents, tail return, free-list chunk reuse, relocation), and the buffer
-// pool's advisory read-ahead.
+// guarantees against a greedy oracle (passes and bytes never exceed the
+// classic left-to-right loop, contiguous in-order steps, every input
+// consumed exactly once, no copy steps), output of every sorting entry
+// point checked against oracles that share no merge code (std::stable_sort
+// for the raw ExternalMergeSorter, the in-memory DOM sort for NEXSORT eager
+// + streamed and the key-path sort), wire compatibility of retired sort
+// request fields, exact budget unwind on mid-merge cancellation, DFS-aware
+// run placement (contiguous extents, tail return, free-list chunk reuse),
+// and the buffer pool's advisory read-ahead.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <filesystem>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +26,9 @@
 #include "extmem/block_device.h"
 #include "extmem/memory_budget.h"
 #include "extmem/run_store.h"
+#include "obs/json_writer.h"
+#include "service/client.h"
+#include "service/server.h"
 #include "service/service.h"
 #include "sort/external_merge_sort.h"
 #include "sort/merge_plan.h"
@@ -37,6 +45,38 @@ using nexsort::testing::Env;
 using Record = std::pair<std::string, std::string>;
 
 // ---------------------------------------------------------- planner -----
+
+// The classic merge loop the planner must beat, kept only as a test oracle:
+// left-to-right groups of `fan_in` runs every pass; a trailing group of one
+// run becomes a fan-in-1 copy step.
+MergePlan GreedyPlan(const std::vector<uint64_t>& run_bytes,
+                     uint64_t fan_in) {
+  MergePlan plan;
+  plan.num_inputs = static_cast<uint32_t>(run_bytes.size());
+  plan.node_bytes = run_bytes;
+  std::vector<uint32_t> level(run_bytes.size());
+  std::iota(level.begin(), level.end(), 0u);
+  while (level.size() > 1) {
+    std::vector<uint32_t> next;
+    for (size_t i = 0; i < level.size(); i += fan_in) {
+      const size_t end = std::min<size_t>(i + fan_in, level.size());
+      MergeStep step;
+      step.pass = plan.passes;
+      step.inputs.assign(level.begin() + static_cast<long>(i),
+                         level.begin() + static_cast<long>(end));
+      uint64_t bytes = 0;
+      for (uint32_t node : step.inputs) bytes += plan.node_bytes[node];
+      step.output = plan.node_count();
+      plan.node_bytes.push_back(bytes);
+      next.push_back(step.output);
+      plan.steps.push_back(std::move(step));
+    }
+    level = std::move(next);
+    ++plan.passes;
+  }
+  if (!plan.steps.empty()) plan.steps.back().final = true;
+  return plan;
+}
 
 // Replay a plan over the logical run sequence: every step must consume a
 // contiguous, in-order span of the current sequence (the stability
@@ -103,7 +143,7 @@ std::vector<uint64_t> RandomRunBytes(uint64_t seed, size_t count) {
 }
 
 TEST(MergePlanner, SingleRunYieldsEmptyPlan) {
-  MergePlan plan = MergePlanner::Plan({4096}, 4, MergePolicy::kPlanned);
+  MergePlan plan = MergePlanner::Plan({4096}, 4);
   EXPECT_TRUE(plan.steps.empty());
   EXPECT_EQ(plan.passes, 0u);
   EXPECT_EQ(plan.predicted_bytes_moved(), 0u);
@@ -111,10 +151,11 @@ TEST(MergePlanner, SingleRunYieldsEmptyPlan) {
 
 TEST(MergePlanner, GreedyReproducesHistoricalPassStructure) {
   // 10 runs at fan-in 4: pass 0 = [0..3][4..7][8..9], pass 1 = the three
-  // outputs — exactly the old left-to-right loop, including the trailing
-  // narrow group.
+  // outputs — the oracle is the old left-to-right loop, including the
+  // trailing narrow group, and pays exactly GreedyPassCount passes (the
+  // planner's ceiling).
   std::vector<uint64_t> bytes(10, 1024);
-  MergePlan plan = MergePlanner::Plan(bytes, 4, MergePolicy::kGreedy);
+  MergePlan plan = GreedyPlan(bytes, 4);
   EXPECT_EQ(plan.passes, 2u);
   ASSERT_EQ(plan.steps.size(), 4u);
   EXPECT_EQ(plan.steps[0].inputs, (std::vector<uint32_t>{0, 1, 2, 3}));
@@ -130,8 +171,8 @@ TEST(MergePlanner, GracefulDegradationMergesOnlyTheCheapestWindow) {
   // plus a second pass, the planner merges one two-run window (the
   // cheapest) and finishes at full fan-in.
   std::vector<uint64_t> bytes = {8192, 1024, 1024, 8192, 8192};
-  MergePlan greedy = MergePlanner::Plan(bytes, 4, MergePolicy::kGreedy);
-  MergePlan planned = MergePlanner::Plan(bytes, 4, MergePolicy::kPlanned);
+  MergePlan greedy = GreedyPlan(bytes, 4);
+  MergePlan planned = MergePlanner::Plan(bytes, 4);
   ASSERT_EQ(planned.steps.size(), 2u);
   EXPECT_EQ(planned.steps[0].inputs, (std::vector<uint32_t>{1, 2}));
   EXPECT_LE(planned.passes, greedy.passes);
@@ -141,17 +182,16 @@ TEST(MergePlanner, GracefulDegradationMergesOnlyTheCheapestWindow) {
 
 // The planner's contract, property-tested: for random skewed run sizes
 // across fan-ins, the planned schedule is well-formed, never runs more
-// passes than greedy, never moves more bytes, and never emits copy steps.
+// passes than the greedy oracle, never moves more bytes, and never emits
+// copy steps.
 TEST(MergePlanner, PlannedNeverWorseThanGreedyProperty) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Random rng(seed * 977);
     size_t count = 2 + rng.Uniform(199);
     std::vector<uint64_t> bytes = RandomRunBytes(seed, count);
     for (uint64_t fan_in : {2u, 3u, 5u, 8u}) {
-      MergePlan greedy = MergePlanner::Plan(bytes, fan_in,
-                                            MergePolicy::kGreedy);
-      MergePlan planned = MergePlanner::Plan(bytes, fan_in,
-                                             MergePolicy::kPlanned);
+      MergePlan greedy = GreedyPlan(bytes, fan_in);
+      MergePlan planned = MergePlanner::Plan(bytes, fan_in);
       CheckPlanShape(greedy, count, fan_in);
       CheckPlanShape(planned, count, fan_in);
       EXPECT_EQ(greedy.passes, MergePlanner::GreedyPassCount(count, fan_in));
@@ -167,7 +207,7 @@ TEST(MergePlanner, PlannedNeverWorseThanGreedyProperty) {
   }
 }
 
-// ----------------------------------------------- sorter byte-identity ---
+// ------------------------------------------------- sorters vs. oracles ---
 
 std::vector<Record> RandomRecords(uint64_t seed, size_t count) {
   Random rng(seed);
@@ -182,14 +222,12 @@ std::vector<Record> RandomRecords(uint64_t seed, size_t count) {
   return records;
 }
 
-std::vector<Record> SortWithMergePolicy(const std::vector<Record>& records,
-                                        uint64_t memory_blocks,
-                                        MergePolicy policy,
-                                        ExtSortStats* stats = nullptr) {
+std::vector<Record> SortExternally(const std::vector<Record>& records,
+                                   uint64_t memory_blocks,
+                                   ExtSortStats* stats = nullptr) {
   Env env;
   RunStore store(env.device(), env.budget());
-  ExternalMergeSorter sorter(&store, {.memory_blocks = memory_blocks,
-                                      .merge_policy = policy});
+  ExternalMergeSorter sorter(&store, {.memory_blocks = memory_blocks});
   NEX_EXPECT_OK(sorter.init_status());
   for (const Record& record : records) {
     NEX_EXPECT_OK(sorter.Add(record.first, record.second));
@@ -208,42 +246,47 @@ std::vector<Record> SortWithMergePolicy(const std::vector<Record>& records,
   return out;
 }
 
+// An oracle that shares no merge code with the sorter: equal keys keep
+// arrival order, which is what the sorter promises.
+std::vector<Record> StableSortOracle(std::vector<Record> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.first < b.first;
+                   });
+  return records;
+}
+
 TEST(MergePolicyIdentity, ExternalSorterByteIdenticalAcrossFanIns) {
   for (uint64_t seed : {2u, 11u}) {
     std::vector<Record> records = RandomRecords(seed, 700);
+    const std::vector<Record> expected = StableSortOracle(records);
     for (uint64_t memory_blocks : {3u, 4u, 8u}) {
-      ExtSortStats greedy_stats;
-      ExtSortStats planned_stats;
-      std::vector<Record> greedy = SortWithMergePolicy(
-          records, memory_blocks, MergePolicy::kGreedy, &greedy_stats);
-      std::vector<Record> planned = SortWithMergePolicy(
-          records, memory_blocks, MergePolicy::kPlanned, &planned_stats);
-      ASSERT_EQ(greedy.size(), records.size());
-      EXPECT_EQ(greedy, planned)
+      ExtSortStats stats;
+      std::vector<Record> sorted =
+          SortExternally(records, memory_blocks, &stats);
+      ASSERT_GT(stats.merge_passes, 0u) << "M=" << memory_blocks;
+      EXPECT_EQ(sorted, expected)
           << "seed=" << seed << " M=" << memory_blocks;
-      EXPECT_LE(planned_stats.merge_passes, greedy_stats.merge_passes);
-      EXPECT_LE(planned_stats.plan.actual_bytes,
-                greedy_stats.plan.actual_bytes);
+      EXPECT_LE(stats.merge_passes,
+                MergePlanner::GreedyPassCount(stats.initial_runs,
+                                              memory_blocks - 1));
     }
   }
 }
 
 // The merge_plan stats block must satisfy its consumed-exactly-once
-// invariant after a real multi-plan job, and the planner's size
+// invariant after a real multi-pass job, and the planner's size
 // predictions must match what the writers actually produced.
 TEST(MergePolicyIdentity, PlanStatsInvariantsHold) {
-  std::vector<Record> records = RandomRecords(/*seed=*/5, 900);
-  for (MergePolicy policy : {MergePolicy::kGreedy, MergePolicy::kPlanned}) {
-    ExtSortStats stats;
-    SortWithMergePolicy(records, /*memory_blocks=*/3, policy, &stats);
-    const MergePlanStats& plan = stats.plan;
-    ASSERT_EQ(plan.plans, 1u);
-    EXPECT_GT(plan.steps, 0u);
-    EXPECT_EQ(plan.fanin_total, plan.input_runs + plan.steps - plan.plans);
-    EXPECT_EQ(plan.predicted_bytes, plan.actual_bytes);
-    EXPECT_GE(plan.fanin_min, policy == MergePolicy::kPlanned ? 2u : 1u);
-    EXPECT_LE(plan.fanin_max, 2u);  // fan-in is memory_blocks - 1
-  }
+  ExtSortStats stats;
+  SortExternally(RandomRecords(/*seed=*/5, 900), /*memory_blocks=*/3, &stats);
+  const MergePlanStats& plan = stats.plan;
+  ASSERT_EQ(plan.plans, 1u);
+  EXPECT_GT(plan.steps, 0u);
+  EXPECT_EQ(plan.fanin_total, plan.input_runs + plan.steps - plan.plans);
+  EXPECT_EQ(plan.predicted_bytes, plan.actual_bytes);
+  EXPECT_GE(plan.fanin_min, 2u);
+  EXPECT_LE(plan.fanin_max, 2u);  // fan-in is memory_blocks - 1
 }
 
 std::string ManyElements(size_t count, uint64_t seed = 17) {
@@ -257,44 +300,38 @@ std::string ManyElements(size_t count, uint64_t seed = 17) {
   return xml;
 }
 
-NexSortOptions ExternalNexOptions(MergePolicy policy, bool placement = true) {
-  NexSortOptions options;
+OrderSpec NumericIdOrder() {
+  OrderSpec order;
   OrderRule rule;
   rule.element = "*";
   rule.source = KeySource::kAttribute;
   rule.argument = "id";
   rule.numeric = true;
-  options.order.AddRule(rule);
+  order.AddRule(rule);
+  return order;
+}
+
+NexSortOptions ExternalNexOptions() {
+  NexSortOptions options;
+  options.order = NumericIdOrder();
   options.sort_threshold = 2 * 1024;  // force the external subtree path
-  options.merge_policy = policy;
-  options.dfs_placement = placement;
   return options;
 }
 
-TEST(MergePolicyIdentity, NexSortEagerStreamedAndPlacementOff) {
+TEST(MergePolicyIdentity, NexSortEagerAndStreamedMatchDomSort) {
   std::string xml = ManyElements(1500);
-  NexSortStats greedy_stats;
-  std::string greedy = nexsort::testing::NexSortString(
-      xml, ExternalNexOptions(MergePolicy::kGreedy), 1024, 32, &greedy_stats);
-  NexSortStats planned_stats;
-  std::string planned = nexsort::testing::NexSortString(
-      xml, ExternalNexOptions(MergePolicy::kPlanned), 1024, 32,
-      &planned_stats);
-  ASSERT_GT(greedy_stats.sorts.external_sorts, 0u)
+  const std::string expected =
+      nexsort::testing::OracleSort(xml, NumericIdOrder());
+  NexSortStats stats;
+  std::string eager = nexsort::testing::NexSortString(
+      xml, ExternalNexOptions(), 1024, 32, &stats);
+  ASSERT_GT(stats.sorts.external_sorts, 0u)
       << "threshold failed to force external subtree sorts";
-  EXPECT_EQ(planned, greedy);
-  EXPECT_LE(planned_stats.sorts.merge_passes,
-            greedy_stats.sorts.merge_passes);
+  ASSERT_GT(stats.sorts.merge_passes, 0u);
+  EXPECT_EQ(eager, expected);
 
-  // Placement changes block ids only — never a byte of output.
-  std::string unplaced = nexsort::testing::NexSortString(
-      xml, ExternalNexOptions(MergePolicy::kPlanned, /*placement=*/false),
-      1024, 32);
-  EXPECT_EQ(unplaced, planned);
-
-  // Streamed output under kPlanned matches the eager kGreedy bytes.
   Env env(1024, 32);
-  NexSorter sorter(env.get(), ExternalNexOptions(MergePolicy::kPlanned));
+  NexSorter sorter(env.get(), ExternalNexOptions());
   StringByteSource source(xml);
   auto stream_or = sorter.SortStream(&source);
   ASSERT_TRUE(stream_or.ok()) << stream_or.status().ToString();
@@ -306,62 +343,78 @@ TEST(MergePolicyIdentity, NexSortEagerStreamedAndPlacementOff) {
     if (!more.value()) break;
     streamed.append(chunk);
   }
-  EXPECT_EQ(streamed, greedy);
+  EXPECT_EQ(streamed, expected);
 }
 
 TEST(MergePolicyIdentity, KeyPathSorterByteIdentical) {
   std::string xml = ManyElements(1200, /*seed=*/23);
   KeyPathSortOptions options;
-  OrderRule rule;
-  rule.element = "*";
-  rule.source = KeySource::kAttribute;
-  rule.argument = "id";
-  rule.numeric = true;
-  options.order.AddRule(rule);
-  options.merge_policy = MergePolicy::kGreedy;
-  std::string greedy = nexsort::testing::KeyPathSortString(xml, options);
-  options.merge_policy = MergePolicy::kPlanned;
-  std::string planned = nexsort::testing::KeyPathSortString(xml, options);
-  EXPECT_EQ(planned, greedy);
+  options.order = NumericIdOrder();
+  EXPECT_EQ(nexsort::testing::KeyPathSortString(xml, options),
+            nexsort::testing::OracleSort(xml, options.order));
 }
 
+// Wire compatibility: a submit that still carries the retired
+// "merge_policy" / "dfs_placement" fields (older clients sent them) is
+// accepted — the daemon ignores request fields it does not read — and
+// sorted with the one merge schedule, byte-identical to a plain request.
 TEST(MergePolicyIdentity, ServiceJobsByteIdenticalAcrossPolicies) {
   ServiceOptions options;
   options.env.block_size = 1024;
   options.env.memory_blocks = 48;
   options.executors = 2;
-  auto service_or = SortService::Create(std::move(options));
-  ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
-  auto& service = *service_or.value();
+  auto service = SortService::Create(std::move(options));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       ("nexsort_merge_plan_test_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  auto server = SocketServer::Start(service.value().get(), socket_path);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  std::string xml = ManyElements(800, /*seed=*/31);
-  std::map<std::string, std::string> outputs;
-  for (const char* policy : {"greedy", "planned"}) {
-    JobRequest request;
-    request.order_text = "item:attr(id)n";
-    request.input_text = xml;
-    request.return_output = true;
-    request.merge_policy = policy;
-    uint64_t job_id = 0;
-    NEX_ASSERT_OK(service.Submit(std::move(request), &job_id));
-    auto done = service.Wait(job_id);
-    ASSERT_TRUE(done.ok()) << done.status().ToString();
-    ASSERT_EQ(done.value().state, JobStatus::State::kDone)
-        << done.value().error;
-    auto output = service.TakeOutput(job_id);
-    ASSERT_TRUE(output.ok()) << output.status().ToString();
-    outputs[policy] = std::move(output).value();
-  }
-  EXPECT_EQ(outputs["greedy"], outputs["planned"]);
+  const std::string xml = ManyElements(800, /*seed=*/31);
+  auto submit = [&](bool retired_fields) -> std::string {
+    JsonWriter writer;
+    writer.BeginObject();
+    writer.Key("op");
+    writer.String("submit");
+    writer.Key("kind");
+    writer.String("sort");
+    writer.Key("order");
+    writer.String("item:attr(id)n");
+    writer.Key("input_text");
+    writer.String(xml);
+    writer.Key("wait");
+    writer.Bool(true);
+    writer.Key("return_output");
+    writer.Bool(true);
+    if (retired_fields) {
+      writer.Key("merge_policy");
+      writer.String("greedy");
+      writer.Key("dfs_placement");
+      writer.Bool(false);
+    }
+    writer.EndObject();
+    auto client = ServiceClient::Connect(socket_path);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    if (!client.ok()) return "";
+    auto response = client.value()->Call(std::move(writer).Take());
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return "";
+    EXPECT_TRUE(response.value().GetBool("ok"))
+        << response.value().GetString("error");
+    const JsonValue* job = response.value().Find("job");
+    EXPECT_TRUE(job != nullptr && job->GetString("state") == "done");
+    return response.value().GetString("output");
+  };
+  const std::string plain = submit(/*retired_fields=*/false);
+  const std::string retired = submit(/*retired_fields=*/true);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(retired, plain);
+  EXPECT_EQ(plain, nexsort::testing::OracleSort(xml, NumericIdOrder()));
 
-  // An otherwise-valid request with an unknown policy is rejected at
-  // Submit, not at execution.
-  JobRequest bogus;
-  bogus.order_text = "item:attr(id)n";
-  bogus.input_text = "<root><item id=\"1\"/></root>";
-  bogus.merge_policy = "fastest";
-  uint64_t id = 0;
-  EXPECT_TRUE(service.Submit(std::move(bogus), &id).IsInvalidArgument());
+  server.value().reset();
+  service.value().reset();
 }
 
 // ------------------------------------------------------- cancellation ---
@@ -370,31 +423,28 @@ TEST(MergePolicyIdentity, ServiceJobsByteIdenticalAcrossPolicies) {
 // executor: the step's writer, its sources, and the leftover runs all
 // release; the budget returns to exactly zero.
 TEST(MergePlanCancellation, MidMergeCancelUnwindsBudgetExactly) {
-  for (MergePolicy policy : {MergePolicy::kGreedy, MergePolicy::kPlanned}) {
-    Env env;
-    CancellationToken cancel;
-    {
-      RunStore store(env.device(), env.budget());
-      ExternalMergeSorter sorter(&store, {.memory_blocks = 4,
-                                          .cancel = &cancel,
-                                          .merge_policy = policy});
-      NEX_ASSERT_OK(sorter.init_status());
-      for (const Record& record : RandomRecords(/*seed=*/9, 600)) {
-        NEX_ASSERT_OK(sorter.Add(record.first, record.second));
-      }
-      // Finish spills the final partial buffer inline (no poll) and then
-      // enters the plan executor, whose per-record poll observes the flag
-      // with a live step writer and open sources — genuinely mid-merge.
-      cancel.Cancel();
-      Status finished = sorter.Finish();
-      EXPECT_TRUE(finished.IsCancelled()) << finished.ToString();
-      EXPECT_GT(sorter.stats().initial_runs, 1u);
-      EXPECT_EQ(sorter.stats().plan.plans, 1u)
-          << "cancellation fired before the merge phase began";
+  Env env;
+  CancellationToken cancel;
+  {
+    RunStore store(env.device(), env.budget());
+    ExternalMergeSorter sorter(&store,
+                               {.memory_blocks = 4, .cancel = &cancel});
+    NEX_ASSERT_OK(sorter.init_status());
+    for (const Record& record : RandomRecords(/*seed=*/9, 600)) {
+      NEX_ASSERT_OK(sorter.Add(record.first, record.second));
     }
-    EXPECT_EQ(env.budget()->used_blocks(), 0u) << "policy leaked budget";
-    EXPECT_EQ(env.budget()->release_underflows(), 0u);
+    // Finish spills the final partial buffer inline (no poll) and then
+    // enters the plan executor, whose per-record poll observes the flag
+    // with a live step writer and open sources — genuinely mid-merge.
+    cancel.Cancel();
+    Status finished = sorter.Finish();
+    EXPECT_TRUE(finished.IsCancelled()) << finished.ToString();
+    EXPECT_GT(sorter.stats().initial_runs, 1u);
+    EXPECT_EQ(sorter.stats().plan.plans, 1u)
+        << "cancellation fired before the merge phase began";
   }
+  EXPECT_EQ(env.budget()->used_blocks(), 0u) << "leaked budget";
+  EXPECT_EQ(env.budget()->release_underflows(), 0u);
 }
 
 // --------------------------------------------------------- placement ----
@@ -451,81 +501,32 @@ TEST(RunPlacement, SequentialHintYieldsContiguousAscendingBlocks) {
   EXPECT_EQ(store.live_blocks(), 0u);
 }
 
-TEST(RunPlacement, RelocateSequentialCompactsAndPreservesContents) {
+// An external sort writes its final merged run in placed extents: the
+// blocks ascend contiguously inside every kPlacementExtentBlocks extent, so
+// draining the result seeks at most once per extent — even after merge
+// passes have churned the scratch free list.
+TEST(RunPlacement, ExternalSortFinalRunIsContiguous) {
   Env env;
-  const size_t block_size = env.device()->block_size();
   RunStore store(env.device(), env.budget());
-
-  // Interleave two scratch writers so each run's blocks alternate.
-  RunWriter a = store.NewRun();
-  RunWriter b = store.NewRun();
-  NEX_ASSERT_OK(a.init_status());
-  NEX_ASSERT_OK(b.init_status());
-  for (int i = 0; i < 3; ++i) {
-    NEX_ASSERT_OK(a.Append(BlockOfBytes(block_size, 'A' + i)));
-    NEX_ASSERT_OK(b.Append(BlockOfBytes(block_size, 'x')));
+  ExternalMergeSorter sorter(&store, {.memory_blocks = 4});
+  NEX_ASSERT_OK(sorter.init_status());
+  for (const Record& record : RandomRecords(/*seed=*/41, 900)) {
+    NEX_ASSERT_OK(sorter.Add(record.first, record.second));
   }
-  RunHandle run_a;
-  RunHandle run_b;
-  NEX_ASSERT_OK(a.Finish(&run_a));
-  NEX_ASSERT_OK(b.Finish(&run_b));
-
-  std::vector<uint64_t> before;
-  NEX_ASSERT_OK(store.SnapshotBlocks(run_a, &before));
-  bool scattered = false;
-  for (size_t i = 1; i < before.size(); ++i) {
-    scattered |= before[i] != before[i - 1] + 1;
+  NEX_ASSERT_OK(sorter.Finish());
+  ASSERT_GT(sorter.stats().merge_passes, 1u);
+  // The merge freed every input; the survivor is the last run finished.
+  ASSERT_EQ(store.live_runs(), 1u);
+  RunHandle final_run;
+  final_run.id = static_cast<uint32_t>(store.runs_created() - 1);
+  std::vector<uint64_t> blocks;
+  NEX_ASSERT_OK(store.SnapshotBlocks(final_run, &blocks));
+  ASSERT_GT(blocks.size(), RunStore::kPlacementExtentBlocks);
+  for (size_t i = 1; i < blocks.size(); ++i) {
+    if (i % RunStore::kPlacementExtentBlocks == 0) continue;  // extent seam
+    EXPECT_EQ(blocks[i], blocks[i - 1] + 1)
+        << "final run not contiguous inside its extent at block " << i;
   }
-  ASSERT_TRUE(scattered) << "interleaving failed to scatter the run";
-
-  const uint64_t live_before = store.live_blocks();
-  const uint64_t bytes_before = run_a.byte_size;
-  NEX_ASSERT_OK(store.RelocateSequential(&run_a));
-  EXPECT_EQ(run_a.byte_size, bytes_before);
-  EXPECT_EQ(store.live_blocks(), live_before);
-  std::vector<uint64_t> after;
-  NEX_ASSERT_OK(store.SnapshotBlocks(run_a, &after));
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t i = 1; i < after.size(); ++i) {
-    EXPECT_EQ(after[i], after[i - 1] + 1) << "relocation left a seam";
-  }
-
-  {
-    // Scoped: the reader holds a one-block reservation until destroyed.
-    RunReader reader = store.OpenRun(run_a);
-    NEX_ASSERT_OK(reader.init_status());
-    std::string contents(run_a.byte_size, '\0');
-    NEX_ASSERT_OK(reader.ReadExact(contents.data(), contents.size()));
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(contents[static_cast<size_t>(i) * block_size],
-                static_cast<char>('A' + i));
-    }
-  }
-  NEX_ASSERT_OK(store.FreeRun(run_a));
-  NEX_ASSERT_OK(store.FreeRun(run_b));
-  EXPECT_EQ(env.budget()->used_blocks(), 0u);
-}
-
-// Placement must not lower the physical device's sequential-read share of
-// the output phase: with DFS placement on, the end-to-end sort sees at
-// least the sequential fraction of the unplaced run.
-TEST(RunPlacement, SequentialReadShareDoesNotRegress) {
-  std::string xml = ManyElements(1500, /*seed=*/41);
-  auto fraction = [&](bool placement) {
-    Env env(1024, 32);
-    NexSorter sorter(env.get(),
-                     ExternalNexOptions(MergePolicy::kPlanned, placement));
-    StringByteSource source(xml);
-    std::string out;
-    StringByteSink sink(&out);
-    NEX_EXPECT_OK(sorter.Sort(&source, &sink));
-    const IoStats& io = env.device()->stats();
-    uint64_t reads = io.reads.load();
-    return reads == 0 ? 0.0
-                      : static_cast<double>(io.sequential_reads.load()) /
-                            static_cast<double>(reads);
-  };
-  EXPECT_GE(fraction(true) + 1e-9, fraction(false));
 }
 
 // ------------------------------------------------- advisory read-ahead --
