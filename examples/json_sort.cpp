@@ -1,6 +1,7 @@
 // Sorting nested data that is not XML (paper Section 6: "our results apply
 // to any type of nested data in general"): JSON documents sorted in
-// external memory through the element-tree encoding.
+// external memory by the NEXSORT engine, which sees each JSON value as one
+// unit (docs/FORMATS.md, "JSON units").
 //
 //   build/examples/json_sort
 #include <cstdio>

@@ -101,6 +101,8 @@ CANONICAL_HEADER = {
     "MergeSource": "sort/loser_tree.h",
     "Tracer": "obs/tracer.h",
     "JsonWriter": "obs/json_writer.h",
+    "JsonReader": "nested/json_reader.h",
+    "JsonEvent": "nested/json_reader.h",
     "MetricsRegistry": "obs/metrics.h",
     "WorkerPool": "parallel/worker_pool.h",
     "BoundedQueue": "parallel/bounded_queue.h",

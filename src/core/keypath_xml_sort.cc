@@ -226,12 +226,7 @@ StatusOr<std::unique_ptr<SortedStream>> KeyPathXmlSorter::SortStream(
 Status KeyPathXmlSorter::Sort(ByteSource* input, ByteSink* output) {
   std::unique_ptr<SortedStream> stream;
   ASSIGN_OR_RETURN(stream, SortStream(input));
-  std::string_view chunk;
-  while (true) {
-    ASSIGN_OR_RETURN(bool more, stream->Next(&chunk));
-    if (!more) return Status::OK();
-    RETURN_IF_ERROR(output->Append(chunk));
-  }
+  return DrainTo(stream.get(), output);
 }
 
 }  // namespace nexsort

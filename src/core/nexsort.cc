@@ -193,13 +193,12 @@ Status NexSorter::MaybeFragment(ExtByteStack* data,
   return path->ReplaceTop(top);
 }
 
-Status NexSorter::SortingPhase(ByteSource* input, RunHandle* root_run) {
+Status NexSorter::SortingPhase(UnitSource* source, RunHandle* root_run) {
   ScopedSpan span(tracer_, "sorting_phase");
   Histogram* fanout_histogram =
       tracer_ != nullptr
           ? tracer_->metrics()->GetHistogram("subtree_fanout")
           : nullptr;
-  UnitScanner scanner(input, &options_.order);
   ExtByteStack data(device_, budget_, 1, IoCategory::kDataStack);
   RETURN_IF_ERROR(data.init_status());
   ExtStack<PathEntry> path(device_, budget_, 2, IoCategory::kPathStack);
@@ -213,7 +212,7 @@ Status NexSorter::SortingPhase(ByteSource* input, RunHandle* root_run) {
     // already spilled unwind via their destructors, so a cancelled sort
     // leaves the shared env exactly as a failed one would.
     RETURN_IF_ERROR(CheckCancelled(sort_context_.cancel));
-    ASSIGN_OR_RETURN(bool more, scanner.Next(&event));
+    ASSIGN_OR_RETURN(bool more, source->Next(&event));
     if (!more) break;
     switch (event.kind) {
       case ScanEvent::Kind::kStart: {
@@ -286,8 +285,8 @@ Status NexSorter::SortingPhase(ByteSource* input, RunHandle* root_run) {
     RETURN_IF_ERROR(MaybeFragment(&data, &path));
   }
 
-  stats_.scan = scanner.stats();
-  stats_.input_bytes = scanner.bytes_consumed();
+  stats_.scan = source->stats();
+  stats_.input_bytes = source->bytes_consumed();
   if (!have_root_run) return Status::ParseError("input has no root element");
   if (data.size() != 0) {
     return Status::Corruption("data stack not empty after sorting phase");
@@ -306,7 +305,7 @@ struct OutputLoc {
 }  // namespace
 
 /// SortedStream over the output-phase DFS (paper Figure 4 lines 13-21).
-/// Owns what the eager output phase held on its stack frame — the XML
+/// Owns what the eager output phase held on its stack frame — the
 /// emitter, the external output-location stack, the current run reader —
 /// but created only after the sorting phase, so the memory-ledger profile
 /// matches the eager path exactly. Emitter output lands in buffer_ through
@@ -321,16 +320,12 @@ class NexSorter::OutputStream final : public SortedStream {
 
   /// Runs the sorting phase (no sorted byte exists before the run tree
   /// does) and opens the output-phase machinery over its root run.
-  [[nodiscard]] Status Init(ByteSource* input) {
+  [[nodiscard]] Status Init(UnitSource* source,
+                            const UnitEmitterFactory& make_emitter) {
     RunHandle root_run;
-    RETURN_IF_ERROR(owner_->SortingPhase(input, &root_run));
+    RETURN_IF_ERROR(owner_->SortingPhase(source, &root_run));
     output_span_.emplace(owner_->tracer_, "output_phase");
-    UnitEmitterOptions emitter_options;
-    emitter_options.pretty = owner_->options_.pretty_output;
-    emitter_ = std::make_unique<UnitXmlEmitter>(owner_->device_,
-                                                owner_->budget_,
-                                                &owner_->dictionary_, &sink_,
-                                                emitter_options);
+    emitter_ = make_emitter(owner_->device_, owner_->budget_, &sink_);
     RETURN_IF_ERROR(emitter_->init_status());
     locations_ = std::make_unique<ExtStack<OutputLoc>>(
         owner_->device_, owner_->budget_, 1, IoCategory::kOutputStack);
@@ -470,7 +465,7 @@ class NexSorter::OutputStream final : public SortedStream {
   std::optional<ScopedSpan> output_span_;  // output phase only
   std::string buffer_;                     // chunk handed out by Next()
   StringByteSink sink_;
-  std::unique_ptr<UnitXmlEmitter> emitter_;
+  std::unique_ptr<UnitEmitter> emitter_;
   std::unique_ptr<ExtStack<OutputLoc>> locations_;
   std::unique_ptr<RunUnitReader> reader_;
   Status status_;
@@ -482,6 +477,18 @@ class NexSorter::OutputStream final : public SortedStream {
 
 StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortStream(
     ByteSource* input) {
+  UnitScanner scanner(input, &options_.order);
+  return SortUnits(&scanner, [this](BlockDevice* device, MemoryBudget* budget,
+                                    ByteSink* output) {
+    UnitEmitterOptions emitter_options;
+    emitter_options.pretty = options_.pretty_output;
+    return std::make_unique<UnitXmlEmitter>(device, budget, &dictionary_,
+                                            output, emitter_options);
+  });
+}
+
+StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortUnits(
+    UnitSource* source, UnitEmitterFactory make_emitter) {
   if (used_) return Status::InvalidArgument("NexSorter is single-use");
   used_ = true;
   const SortEnvOptions& env_options = session_.env()->options();
@@ -520,19 +527,14 @@ StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortStream(
         "complex ordering criteria");
   }
   auto stream = std::make_unique<OutputStream>(this);
-  RETURN_IF_ERROR(stream->Init(input));
+  RETURN_IF_ERROR(stream->Init(source, make_emitter));
   return std::unique_ptr<SortedStream>(std::move(stream));
 }
 
 Status NexSorter::Sort(ByteSource* input, ByteSink* output) {
   std::unique_ptr<SortedStream> stream;
   ASSIGN_OR_RETURN(stream, SortStream(input));
-  std::string_view chunk;
-  while (true) {
-    ASSIGN_OR_RETURN(bool more, stream->Next(&chunk));
-    if (!more) return Status::OK();
-    RETURN_IF_ERROR(output->Append(chunk));
-  }
+  return DrainTo(stream.get(), output);
 }
 
 }  // namespace nexsort

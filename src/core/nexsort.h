@@ -20,6 +20,7 @@
 // Worst-case I/O (Theorem 4.5): O(N/B + (N/B) log_{M/B} (min{kt,N}/B)).
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "cache/buffer_pool.h"
@@ -27,6 +28,7 @@
 #include "core/element_unit.h"
 #include "core/order_spec.h"
 #include "core/subtree_sorter.h"
+#include "core/unit_emitter.h"
 #include "core/unit_scanner.h"
 #include "env/sort_env.h"
 #include "extmem/block_device.h"
@@ -114,6 +116,13 @@ struct NexSortStats {
   std::string ToJsonString() const;
 };
 
+/// Builds the output phase's emitter over `output`. NexSorter calls it
+/// only once the run tree exists, so the block the emitter's external
+/// stack takes from `budget` (on `device`) never shrinks the sorting
+/// phase's memory.
+using UnitEmitterFactory = std::function<std::unique_ptr<UnitEmitter>(
+    BlockDevice* device, MemoryBudget* budget, ByteSink* output)>;
+
 /// One-document sorter running inside a SortEnv. The env supplies working
 /// storage (stacks + sorted runs) and caps internal memory at M blocks.
 /// Requires M >= 8 available blocks (3 for the stacks, the rest for
@@ -142,6 +151,15 @@ class NexSorter {
   [[nodiscard]] StatusOr<std::unique_ptr<SortedStream>> SortStream(
       ByteSource* input);
 
+  /// The one path behind Sort and SortStream, for any nested format: sort
+  /// the units `source` scans, then stream the sorted units through the
+  /// emitter `make_emitter` builds. The XML callers pass UnitScanner and
+  /// UnitXmlEmitter; JsonSorter passes its JSON pair (nested/json.h).
+  /// `source` is read only before this returns. Single use, mutually
+  /// exclusive with Sort and SortStream.
+  [[nodiscard]] StatusOr<std::unique_ptr<SortedStream>> SortUnits(
+      UnitSource* source, UnitEmitterFactory make_emitter);
+
   const NexSortStats& stats() const { return stats_; }
 
   /// Counters of the env's block cache; all zeros when caching is disabled.
@@ -164,7 +182,7 @@ class NexSorter {
   };
   static constexpr uint64_t kHasFragments = 1;
 
-  [[nodiscard]] Status SortingPhase(ByteSource* input, RunHandle* root_run);
+  [[nodiscard]] Status SortingPhase(UnitSource* source, RunHandle* root_run);
   [[nodiscard]] Status SortRegion(ExtByteStack* data, const PathEntry& entry,
                     std::string_view resolved_key, uint32_t level,
                     uint64_t seq, RunHandle* run, ElementUnit* pointer);

@@ -1,5 +1,6 @@
-// UnitXmlEmitter renders a depth-first stream of element units back into
-// XML text, reconstructing the eliminated end tags from level transitions
+// UnitEmitter is the back of NexSorter's one path: it renders the output
+// DFS's depth-first unit stream as text. UnitXmlEmitter renders it as XML
+// text, reconstructing the eliminated end tags from level transitions
 // (paper Section 3.2): a transition from level l1 to a unit at level
 // l2 <= l1 closes l1 - l2 + 1 elements. The open-tag bookkeeping lives on an
 // external stack, mirroring the paper's "structure similar to the path
@@ -24,22 +25,35 @@ struct UnitEmitterOptions {
   bool pretty = false;
 };
 
-class UnitXmlEmitter {
+class UnitEmitter {
+ public:
+  virtual ~UnitEmitter() = default;
+
+  virtual const Status& init_status() const = 0;
+
+  /// Emit one unit (kStart or kText; kEnd units are ignored since levels
+  /// already carry the structure). Units must arrive in depth-first order.
+  [[nodiscard]] virtual Status Emit(const ElementUnit& unit) = 0;
+
+  /// Close everything still open and flush. Must be called exactly once.
+  [[nodiscard]] virtual Status Finish() = 0;
+
+  virtual uint64_t output_bytes() const = 0;
+};
+
+class UnitXmlEmitter final : public UnitEmitter {
  public:
   UnitXmlEmitter(BlockDevice* device, MemoryBudget* budget,
                  NameDictionary* dictionary, ByteSink* output,
                  UnitEmitterOptions options = {});
 
-  const Status& init_status() const { return tags_.init_status(); }
+  const Status& init_status() const override { return tags_.init_status(); }
 
-  /// Emit one unit (kStart or kText; kEnd units are ignored since levels
-  /// already carry the structure). Units must arrive in depth-first order.
-  [[nodiscard]] Status Emit(const ElementUnit& unit);
+  [[nodiscard]] Status Emit(const ElementUnit& unit) override;
 
-  /// Close all open elements and flush. Must be called exactly once.
-  [[nodiscard]] Status Finish();
+  [[nodiscard]] Status Finish() override;
 
-  uint64_t output_bytes() const { return output_bytes_; }
+  uint64_t output_bytes() const override { return output_bytes_; }
 
  private:
   struct OpenTag {

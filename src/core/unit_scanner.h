@@ -50,17 +50,34 @@ struct ScanStats {
   uint64_t max_depth = 0;
 };
 
-class UnitScanner {
+/// The front of NexSorter's one path: a depth-first stream of scan events
+/// over some nested format. Every start unit carries its sort key (or an
+/// end unit does, for complex rules); levels and seqs number the tree.
+class UnitSource {
+ public:
+  virtual ~UnitSource() = default;
+
+  /// Next scan event; false at clean end of document.
+  [[nodiscard]] virtual StatusOr<bool> Next(ScanEvent* event) = 0;
+
+  virtual const ScanStats& stats() const = 0;
+
+  /// Raw input bytes consumed so far.
+  virtual uint64_t bytes_consumed() const = 0;
+};
+
+/// The XML unit source.
+class UnitScanner final : public UnitSource {
  public:
   UnitScanner(ByteSource* input, const OrderSpec* spec);
 
-  /// Next scan event; false at clean end of document.
-  [[nodiscard]] StatusOr<bool> Next(ScanEvent* event);
+  [[nodiscard]] StatusOr<bool> Next(ScanEvent* event) override;
 
-  const ScanStats& stats() const { return stats_; }
+  const ScanStats& stats() const override { return stats_; }
 
-  /// Raw XML bytes consumed so far.
-  uint64_t bytes_consumed() const { return parser_.bytes_consumed(); }
+  uint64_t bytes_consumed() const override {
+    return parser_.bytes_consumed();
+  }
 
  private:
   struct Evaluator {

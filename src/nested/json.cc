@@ -1,680 +1,388 @@
 #include "nested/json.h"
 
-#include <cctype>
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "core/order_spec.h"
+#include "core/unit_emitter.h"
+#include "core/unit_scanner.h"
 #include "extmem/block_device.h"
-
+#include "extmem/ext_stack.h"
+#include "extmem/memory_budget.h"
+#include "extmem/run_store.h"
+#include "nested/json_reader.h"
+#include "obs/json_writer.h"
+#include "sort/sorted_stream.h"
 #include "util/string_util.h"
-#include "xml/sax_parser.h"
-#include "xml/writer.h"
 
 namespace nexsort {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// JSON tokenizer
-// ---------------------------------------------------------------------
-
-struct Token {
-  enum class Type {
-    kLBrace, kRBrace, kLBracket, kRBracket, kComma, kColon,
-    kString,   // text = decoded value
-    kNumber,   // text = raw lexeme
-    kTrue, kFalse, kNull,
-    kEnd,
-  };
-  Type type = Type::kEnd;
-  std::string text;
-};
-
-class Tokenizer {
- public:
-  explicit Tokenizer(ByteSource* source) : source_(source) {}
-
-  Status Next(Token* token) {
-    RETURN_IF_ERROR(SkipWhitespace());
-    if (AtEof()) {
-      token->type = Token::Type::kEnd;
-      token->text.clear();
-      return Status::OK();
-    }
-    char c = PeekChar();
-    switch (c) {
-      case '{': Advance(1); token->type = Token::Type::kLBrace; return Status::OK();
-      case '}': Advance(1); token->type = Token::Type::kRBrace; return Status::OK();
-      case '[': Advance(1); token->type = Token::Type::kLBracket; return Status::OK();
-      case ']': Advance(1); token->type = Token::Type::kRBracket; return Status::OK();
-      case ',': Advance(1); token->type = Token::Type::kComma; return Status::OK();
-      case ':': Advance(1); token->type = Token::Type::kColon; return Status::OK();
-      case '"': return ParseString(token);
-      case 't': return ParseKeyword("true", Token::Type::kTrue, token);
-      case 'f': return ParseKeyword("false", Token::Type::kFalse, token);
-      case 'n': return ParseKeyword("null", Token::Type::kNull, token);
-      default:
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-          return ParseNumberToken(token);
-        }
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in JSON");
-    }
-  }
-
- private:
-  Status Fill() {
-    if (eof_) return Status::OK();
-    if (pos_ > 8192) {
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-    }
-    size_t old_size = buffer_.size();
-    buffer_.resize(old_size + 8192);
-    size_t got = 0;
-    Status st = source_->Read(buffer_.data() + old_size, 8192, &got);
-    buffer_.resize(old_size + got);
-    if (!st.ok()) return st;
-    if (got == 0) eof_ = true;
-    return Status::OK();
-  }
-  Status Ensure(size_t n) {
-    while (buffer_.size() - pos_ < n && !eof_) RETURN_IF_ERROR(Fill());
-    return Status::OK();
-  }
-  bool AtEof() { return pos_ >= buffer_.size() && eof_; }
-  char PeekChar() const { return buffer_[pos_]; }
-  void Advance(size_t n) { pos_ += n; }
-
-  Status SkipWhitespace() {
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::OK();
-      char c = PeekChar();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return Status::OK();
-      Advance(1);
-    }
-  }
-
-  Status ParseKeyword(std::string_view word, Token::Type type, Token* token) {
-    RETURN_IF_ERROR(Ensure(word.size()));
-    if (buffer_.size() - pos_ < word.size() ||
-        std::string_view(buffer_.data() + pos_, word.size()) != word) {
-      return Status::ParseError("malformed JSON keyword");
-    }
-    Advance(word.size());
-    token->type = type;
-    token->text.clear();
-    return Status::OK();
-  }
-
-  Status ParseNumberToken(Token* token) {
-    token->type = Token::Type::kNumber;
-    token->text.clear();
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) break;
-      char c = PeekChar();
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-          c == '+' || c == '.' || c == 'e' || c == 'E') {
-        token->text.push_back(c);
-        Advance(1);
-      } else {
-        break;
-      }
-    }
-    double value = 0;
-    if (!ParseNumber(token->text, &value)) {
-      return Status::ParseError("malformed JSON number: " + token->text);
-    }
-    return Status::OK();
-  }
-
-  Status ParseString(Token* token) {
-    Advance(1);  // opening quote
-    token->type = Token::Type::kString;
-    token->text.clear();
-    while (true) {
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::ParseError("unterminated JSON string");
-      char c = PeekChar();
-      Advance(1);
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        token->text.push_back(c);
-        continue;
-      }
-      RETURN_IF_ERROR(Ensure(1));
-      if (AtEof()) return Status::ParseError("truncated escape");
-      char esc = PeekChar();
-      Advance(1);
-      switch (esc) {
-        case '"': token->text.push_back('"'); break;
-        case '\\': token->text.push_back('\\'); break;
-        case '/': token->text.push_back('/'); break;
-        case 'b': token->text.push_back('\b'); break;
-        case 'f': token->text.push_back('\f'); break;
-        case 'n': token->text.push_back('\n'); break;
-        case 'r': token->text.push_back('\r'); break;
-        case 't': token->text.push_back('\t'); break;
-        case 'u': {
-          uint32_t cp = 0;
-          RETURN_IF_ERROR(ReadHex4(&cp));
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // Surrogate pair.
-            RETURN_IF_ERROR(Ensure(2));
-            if (buffer_.size() - pos_ < 2 || buffer_[pos_] != '\\' ||
-                buffer_[pos_ + 1] != 'u') {
-              return Status::ParseError("unpaired surrogate");
-            }
-            Advance(2);
-            uint32_t low = 0;
-            RETURN_IF_ERROR(ReadHex4(&low));
-            if (low < 0xDC00 || low > 0xDFFF) {
-              return Status::ParseError("invalid low surrogate");
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          }
-          AppendUtf8(&token->text, cp);
-          break;
-        }
-        default:
-          return Status::ParseError("unknown JSON escape");
-      }
-    }
-  }
-
-  Status ReadHex4(uint32_t* out) {
-    RETURN_IF_ERROR(Ensure(4));
-    if (buffer_.size() - pos_ < 4) {
-      return Status::ParseError("truncated \\u escape");
-    }
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = buffer_[pos_ + i];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= c - '0';
-      else if (c >= 'a' && c <= 'f') value |= c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') value |= c - 'A' + 10;
-      else return Status::ParseError("bad hex digit in \\u escape");
-    }
-    Advance(4);
-    *out = value;
-    return Status::OK();
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t cp) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  ByteSource* source_;
-  std::string buffer_;
-  size_t pos_ = 0;
-  bool eof_ = false;
-};
-
-// One-token-lookahead cursor over either the live tokenizer or a buffered
-// token vector (used to replay array items after key extraction).
-class TokenCursor {
- public:
-  virtual ~TokenCursor() = default;
-  virtual Status Next(Token* token) = 0;
-
-  Status Peek(Token* token) {
-    if (!has_pending_) {
-      RETURN_IF_ERROR(Next(&pending_));
-      has_pending_ = true;
-    }
-    *token = pending_;
-    return Status::OK();
-  }
-  Status Take(Token* token) {
-    if (has_pending_) {
-      *token = std::move(pending_);
-      has_pending_ = false;
-      return Status::OK();
-    }
-    return Next(token);
-  }
-
- private:
-  Token pending_;
-  bool has_pending_ = false;
-};
-
-class LiveCursor final : public TokenCursor {
- public:
-  explicit LiveCursor(Tokenizer* tokenizer) : tokenizer_(tokenizer) {}
-  Status Next(Token* token) override { return tokenizer_->Next(token); }
-
- private:
-  Tokenizer* tokenizer_;
-};
-
-class ReplayCursor final : public TokenCursor {
- public:
-  explicit ReplayCursor(const std::vector<Token>* tokens)
-      : tokens_(tokens) {}
-  Status Next(Token* token) override {
-    if (index_ >= tokens_->size()) {
-      token->type = Token::Type::kEnd;
-      return Status::OK();
-    }
-    *token = (*tokens_)[index_++];
-    return Status::OK();
-  }
-
- private:
-  const std::vector<Token>* tokens_;
-  size_t index_ = 0;
-};
+// Unit names of the JSON value types, and the unit attributes.
+constexpr char kObjectTag[] = "o";
+constexpr char kArrayTag[] = "a";
+constexpr char kStringTag[] = "s";
+constexpr char kNumberTag[] = "n";
+constexpr char kBoolTag[] = "b";
+constexpr char kNullTag[] = "z";
+constexpr char kNameAttribute[] = "k";   // member name
+constexpr char kValueAttribute[] = "v";  // scalar value
 
 // ---------------------------------------------------------------------
-// JSON -> element tree
+// JSON -> units
 // ---------------------------------------------------------------------
 
-class JsonToXmlTranslator {
+class JsonUnitScanner final : public UnitSource {
  public:
-  JsonToXmlTranslator(const JsonSortOptions& options, XmlWriter* writer,
-                      JsonSortStats* stats)
-      : options_(options), writer_(writer), stats_(stats) {
+  JsonUnitScanner(ByteSource* input, const JsonSortOptions& options,
+                  JsonSortStats* stats)
+      : reader_(input),
+        key_members_(options.sort_object_members),
+        key_items_(!options.sort_arrays_by.empty() ||
+                   options.sort_arrays_by_value),
+        stats_(stats) {
     for (std::string_view part : Split(options.sort_arrays_by, '/')) {
       if (!part.empty()) key_path_.emplace_back(part);
     }
+    item_rule_.numeric = options.numeric_array_keys;
   }
 
-  Status TranslateDocument(TokenCursor* cursor) {
-    RETURN_IF_ERROR(EmitValue(cursor, /*nxk=*/nullptr));
-    Token token;
-    RETURN_IF_ERROR(cursor->Take(&token));
-    if (token.type != Token::Type::kEnd) {
-      return Status::ParseError("trailing data after JSON document");
+  StatusOr<bool> Next(ScanEvent* event) override {
+    // Scanned events wait in pending_ while a keyed item is open: its
+    // start unit's key is known only when it closes.
+    while (delivered_ == pending_size_ || !evaluators_.empty()) {
+      if (delivered_ == pending_size_) delivered_ = pending_size_ = 0;
+      ASSIGN_OR_RETURN(bool more, reader_.Next(&json_));
+      if (!more) return false;
+      if (json_.type == JsonEvent::Type::kEndObject ||
+          json_.type == JsonEvent::Type::kEndArray) {
+        Close();
+      } else {
+        Begin();
+      }
     }
-    return Status::OK();
+    // Swap, not move: the slot keeps the caller's old strings' capacity.
+    std::swap(*event, pending_[delivered_++]);
+    ++scan_.units;
+    return true;
   }
+
+  const ScanStats& stats() const override { return scan_; }
+
+  uint64_t bytes_consumed() const override { return reader_.bytes_consumed(); }
 
  private:
-  bool ArrayKeyingEnabled() const {
-    return !key_path_.empty() || options_.sort_arrays_by_value;
+  struct OpenContainer {
+    uint64_t seq = 0;       // of its start unit
+    uint64_t children = 0;  // fan-out accounting
+  };
+
+  // Follows one open object item's key path, first member of a name only,
+  // as its members stream past.
+  struct Evaluator {
+    uint32_t item_level = 0;
+    size_t unit_index = 0;  // the item's start unit in pending_
+    size_t matched = 0;     // key_path_ components matched so far
+    bool done = false;      // key captured, or known to be absent
+    bool captured = false;
+    std::string raw;
+  };
+
+  ScanEvent& AddEvent(ScanEvent::Kind kind, UnitType type, uint32_t level,
+                    uint64_t seq) {
+    if (pending_size_ == pending_.size()) pending_.emplace_back();
+    ScanEvent& event = pending_[pending_size_++];
+    event.kind = kind;
+    event.children = 0;
+    ElementUnit& unit = event.unit;
+    unit.type = type;
+    unit.level = level;
+    unit.seq = seq;
+    unit.key.clear();
+    unit.name.clear();
+    unit.attributes.clear();
+    unit.text.clear();
+    unit.run = RunHandle();
+    return event;
   }
 
-  Status EmitValue(TokenCursor* cursor, const std::string* nxk) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Take(&token));
+  void Begin() {
+    const bool item = !json_.member && !open_.empty();
+    const uint32_t level = static_cast<uint32_t>(open_.size()) + 1;
     ++stats_->values;
-    std::vector<XmlAttribute> attrs;
-    if (nxk != nullptr) attrs.push_back({"nxk", *nxk});
-    switch (token.type) {
-      case Token::Type::kLBrace: {
+    ++scan_.elements;
+    scan_.max_depth = std::max<uint64_t>(scan_.max_depth, level);
+    if (!open_.empty()) {
+      ++open_.back().children;
+      scan_.max_fanout = std::max(scan_.max_fanout, open_.back().children);
+    }
+
+    const uint64_t seq = next_seq_++;
+    const size_t index = pending_size_;
+    ElementUnit& unit =
+        AddEvent(ScanEvent::Kind::kStart, UnitType::kStart, level, seq).unit;
+    if (json_.member) {
+      if (key_members_) unit.key = json_.name;
+      unit.attributes.push_back({kNameAttribute, std::move(json_.name)});
+    }
+    const std::string* scalar = nullptr;  // a key-able scalar's raw text
+    bool container = false;
+    switch (json_.type) {
+      case JsonEvent::Type::kBeginObject:
         ++stats_->objects;
-        RETURN_IF_ERROR(writer_->StartElement("o", attrs));
-        RETURN_IF_ERROR(EmitMembers(cursor));
-        return writer_->EndElement();
-      }
-      case Token::Type::kLBracket: {
+        unit.name = kObjectTag;
+        container = true;
+        break;
+      case JsonEvent::Type::kBeginArray:
         ++stats_->arrays;
-        RETURN_IF_ERROR(writer_->StartElement("a", attrs));
-        RETURN_IF_ERROR(EmitItems(cursor));
-        return writer_->EndElement();
-      }
-      case Token::Type::kString:
-        attrs.push_back({"v", std::move(token.text)});
-        RETURN_IF_ERROR(writer_->StartElement("s", attrs));
-        return writer_->EndElement();
-      case Token::Type::kNumber:
-        attrs.push_back({"v", std::move(token.text)});
-        RETURN_IF_ERROR(writer_->StartElement("n", attrs));
-        return writer_->EndElement();
-      case Token::Type::kTrue:
-      case Token::Type::kFalse:
-        attrs.push_back(
-            {"v", token.type == Token::Type::kTrue ? "true" : "false"});
-        RETURN_IF_ERROR(writer_->StartElement("b", attrs));
-        return writer_->EndElement();
-      case Token::Type::kNull:
-        RETURN_IF_ERROR(writer_->StartElement("z", attrs));
-        return writer_->EndElement();
+        unit.name = kArrayTag;
+        container = true;
+        break;
+      case JsonEvent::Type::kString:
+      case JsonEvent::Type::kNumber:
+        unit.name = json_.type == JsonEvent::Type::kString ? kStringTag
+                                                           : kNumberTag;
+        unit.attributes.push_back({kValueAttribute, std::move(json_.text)});
+        scalar = &unit.attributes.back().value;
+        break;
+      case JsonEvent::Type::kTrue:
+      case JsonEvent::Type::kFalse:
+        unit.name = kBoolTag;
+        unit.attributes.push_back(
+            {kValueAttribute,
+             json_.type == JsonEvent::Type::kTrue ? "true" : "false"});
+        scalar = &unit.attributes.back().value;
+        break;
       default:
-        return Status::ParseError("unexpected token in JSON value");
+        unit.name = kNullTag;
+        break;
+    }
+    FeedEvaluators(level, unit, scalar);
+
+    if (item && key_items_) {
+      if (scalar != nullptr && key_path_.empty()) {
+        unit.key = OrderSpec::NormalizeKey(item_rule_, *scalar);
+      } else if (json_.type == JsonEvent::Type::kBeginObject &&
+                 !key_path_.empty()) {
+        Evaluator evaluator;
+        evaluator.item_level = level;
+        evaluator.unit_index = index;
+        evaluators_.push_back(std::move(evaluator));
+      }
+    }
+    if (container) {
+      open_.push_back({seq, 0});
+    } else {
+      AddEvent(ScanEvent::Kind::kEnd, UnitType::kEnd, level, seq);
     }
   }
 
-  Status EmitMembers(TokenCursor* cursor) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Peek(&token));
-    if (token.type == Token::Type::kRBrace) return cursor->Take(&token);
-    while (true) {
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type != Token::Type::kString) {
-        return Status::ParseError("expected member name");
+  // A value began at `level`: advance every open item whose key path it
+  // continues. Evaluators stack by item level, so walking from the top
+  // `rel` only grows and the walk stops one path length up.
+  void FeedEvaluators(uint32_t level, const ElementUnit& unit,
+                      const std::string* scalar) {
+    if (!json_.member) return;  // key paths only step through members
+    const std::string& name = unit.attributes.front().value;
+    for (auto it = evaluators_.rbegin(); it != evaluators_.rend(); ++it) {
+      Evaluator& ev = *it;
+      size_t rel = level - ev.item_level;
+      if (rel > key_path_.size()) break;
+      if (ev.done || rel != ev.matched + 1 || name != key_path_[ev.matched]) {
+        continue;
       }
-      std::string name = std::move(token.text);
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type != Token::Type::kColon) {
-        return Status::ParseError("expected ':' after member name");
-      }
-      RETURN_IF_ERROR(writer_->StartElement("m", {{"k", name}}));
-      RETURN_IF_ERROR(EmitValue(cursor, nullptr));
-      RETURN_IF_ERROR(writer_->EndElement());
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type == Token::Type::kRBrace) return Status::OK();
-      if (token.type != Token::Type::kComma) {
-        return Status::ParseError("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  Status EmitItems(TokenCursor* cursor) {
-    Token token;
-    RETURN_IF_ERROR(cursor->Peek(&token));
-    if (token.type == Token::Type::kRBracket) return cursor->Take(&token);
-    while (true) {
-      if (ArrayKeyingEnabled()) {
-        // Buffer the item's tokens to extract its sort key; the value
-        // element's start tag must already carry it. Items therefore need
-        // to fit in translation memory (documents do not).
-        std::vector<Token> item;
-        RETURN_IF_ERROR(BufferValue(cursor, &item));
-        std::string key;
-        bool has_key = ExtractKey(item, &key);
-        ReplayCursor replay(&item);
-        RETURN_IF_ERROR(EmitValue(&replay, has_key ? &key : nullptr));
-      } else {
-        RETURN_IF_ERROR(EmitValue(cursor, nullptr));
-      }
-      RETURN_IF_ERROR(cursor->Take(&token));
-      if (token.type == Token::Type::kRBracket) return Status::OK();
-      if (token.type != Token::Type::kComma) {
-        return Status::ParseError("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  // Copy one complete value's tokens from the cursor.
-  Status BufferValue(TokenCursor* cursor, std::vector<Token>* out) {
-    int depth = 0;
-    do {
-      Token token;
-      RETURN_IF_ERROR(cursor->Take(&token));
-      switch (token.type) {
-        case Token::Type::kLBrace:
-        case Token::Type::kLBracket:
-          ++depth;
-          break;
-        case Token::Type::kRBrace:
-        case Token::Type::kRBracket:
-          --depth;
-          break;
-        case Token::Type::kEnd:
-          return Status::ParseError("truncated JSON value");
-        default:
-          break;
-      }
-      out->push_back(std::move(token));
-    } while (depth > 0);
-    return Status::OK();
-  }
-
-  // Scalar value at key_path_ inside a buffered item (or the item itself
-  // for scalar arrays). Returns false when absent.
-  bool ExtractKey(const std::vector<Token>& item, std::string* key) const {
-    size_t pos = 0;
-    for (const std::string& component : key_path_) {
-      if (pos >= item.size() || item[pos].type != Token::Type::kLBrace) {
-        return false;
-      }
-      ++pos;  // into the object
-      bool found = false;
-      while (pos < item.size()) {
-        if (item[pos].type == Token::Type::kRBrace) break;
-        if (item[pos].type == Token::Type::kComma) {
-          ++pos;
-          continue;
+      ++ev.matched;
+      if (ev.matched == key_path_.size()) {
+        ev.done = true;
+        if (scalar != nullptr) {
+          ev.captured = true;
+          ev.raw = *scalar;
         }
-        // member: String Colon value
-        if (item[pos].type != Token::Type::kString) return false;
-        bool match = item[pos].text == component;
-        pos += 2;  // skip name + colon
-        if (match) {
-          found = true;
-          break;
-        }
-        pos = SkipValue(item, pos);
+      } else if (unit.name != kObjectTag) {
+        ev.done = true;  // the path runs into a non-object
       }
-      if (!found) return false;
-    }
-    if (key_path_.empty() && !options_.sort_arrays_by_value) return false;
-    if (pos >= item.size()) return false;
-    const Token& token = item[pos];
-    switch (token.type) {
-      case Token::Type::kString:
-      case Token::Type::kNumber:
-        *key = token.text;
-        return true;
-      case Token::Type::kTrue: *key = "true"; return true;
-      case Token::Type::kFalse: *key = "false"; return true;
-      default:
-        return false;  // containers and null do not key
     }
   }
 
-  static size_t SkipValue(const std::vector<Token>& tokens, size_t pos) {
-    int depth = 0;
-    do {
-      if (pos >= tokens.size()) return pos;
-      switch (tokens[pos].type) {
-        case Token::Type::kLBrace:
-        case Token::Type::kLBracket: ++depth; break;
-        case Token::Type::kRBrace:
-        case Token::Type::kRBracket: --depth; break;
-        default: break;
+  void Close() {
+    const uint32_t level = static_cast<uint32_t>(open_.size());
+    ScanEvent& end = AddEvent(ScanEvent::Kind::kEnd, UnitType::kEnd, level,
+                            open_.back().seq);
+    end.children = open_.back().children;
+    open_.pop_back();
+
+    if (!evaluators_.empty() && evaluators_.back().item_level == level) {
+      // A keyed item closed: its start unit gets the key it found.
+      Evaluator& ev = evaluators_.back();
+      if (ev.captured) {
+        pending_[ev.unit_index].unit.key =
+            OrderSpec::NormalizeKey(item_rule_, ev.raw);
       }
-      ++pos;
-    } while (depth > 0);
-    return pos;
+      evaluators_.pop_back();
+    }
+    // An object an evaluator was searching closed without the next path
+    // component: that item has no key.
+    for (auto it = evaluators_.rbegin(); it != evaluators_.rend(); ++it) {
+      size_t rel = level - it->item_level;
+      if (rel > key_path_.size()) break;
+      if (rel == it->matched) it->done = true;
+    }
   }
 
-  const JsonSortOptions& options_;
-  XmlWriter* writer_;
-  JsonSortStats* stats_;
+  JsonReader reader_;
+  JsonEvent json_;  // reused across reader steps
+  const bool key_members_;
+  const bool key_items_;
   std::vector<std::string> key_path_;
+  OrderRule item_rule_;
+  JsonSortStats* stats_;
+  ScanStats scan_;
+  uint64_t next_seq_ = 0;
+
+  std::vector<OpenContainer> open_;
+  std::vector<Evaluator> evaluators_;  // one per open keyed object item
+  std::vector<ScanEvent> pending_;     // slots reused across items
+  size_t pending_size_ = 0;
+  size_t delivered_ = 0;
 };
 
 // ---------------------------------------------------------------------
-// element tree -> JSON
+// units -> JSON
 // ---------------------------------------------------------------------
 
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+class JsonUnitEmitter final : public UnitEmitter {
+ public:
+  JsonUnitEmitter(BlockDevice* device, MemoryBudget* budget,
+                  ByteSink* output)
+      : output_(output), open_(device, budget, 1, IoCategory::kOutputStack) {}
+
+  const Status& init_status() const override { return open_.init_status(); }
+
+  Status Emit(const ElementUnit& unit) override {
+    if (unit.type == UnitType::kEnd) return Status::OK();
+    if (unit.type != UnitType::kStart || unit.name.size() != 1) {
+      return Status::Corruption("not a JSON value unit");
     }
+    RETURN_IF_ERROR(CloseTo(unit.level));
+    if (!open_.empty()) {
+      OpenContainer parent;
+      RETURN_IF_ERROR(open_.Top(&parent));
+      if ((parent.flags & kHasChild) != 0) {
+        buffer_.push_back(',');
+      } else {
+        parent.flags |= kHasChild;
+        RETURN_IF_ERROR(open_.ReplaceTop(parent));
+      }
+    }
+    const std::string* value = nullptr;
+    for (const XmlAttribute& attr : unit.attributes) {
+      if (attr.name == kNameAttribute) {
+        JsonWriter::AppendEscaped(&buffer_, attr.value);
+        buffer_.push_back(':');
+      } else if (attr.name == kValueAttribute) {
+        value = &attr.value;
+      }
+    }
+    const char tag = unit.name[0];
+    switch (tag) {
+      case kObjectTag[0]:
+      case kArrayTag[0]: {
+        buffer_.push_back(tag == kObjectTag[0] ? '{' : '[');
+        OpenContainer open;
+        open.level = unit.level;
+        open.flags = tag == kObjectTag[0] ? kObject : 0;
+        RETURN_IF_ERROR(open_.Push(open));
+        break;
+      }
+      case kNullTag[0]:
+        buffer_.append("null");
+        break;
+      case kStringTag[0]:
+      case kNumberTag[0]:
+      case kBoolTag[0]:
+        if (value == nullptr) {
+          return Status::Corruption("JSON scalar unit without a value");
+        }
+        if (tag == kStringTag[0]) {
+          JsonWriter::AppendEscaped(&buffer_, *value);
+        } else {
+          buffer_.append(*value);
+        }
+        break;
+      default:
+        return Status::Corruption("unknown JSON unit: " + unit.name);
+    }
+    return FlushIfLarge();
   }
-  out->push_back('"');
-}
+
+  Status Finish() override {
+    RETURN_IF_ERROR(CloseTo(1));
+    output_bytes_ += buffer_.size();
+    if (!buffer_.empty()) RETURN_IF_ERROR(output_->Append(buffer_));
+    buffer_.clear();
+    return Status::OK();
+  }
+
+  uint64_t output_bytes() const override { return output_bytes_; }
+
+ private:
+  struct OpenContainer {
+    uint32_t level = 0;
+    uint32_t flags = 0;  // kObject | kHasChild
+  };
+  static constexpr uint32_t kObject = 1;
+  static constexpr uint32_t kHasChild = 2;
+
+  Status CloseTo(uint32_t level) {
+    while (!open_.empty()) {
+      OpenContainer top;
+      RETURN_IF_ERROR(open_.Top(&top));
+      if (top.level < level) break;
+      RETURN_IF_ERROR(open_.Pop(&top));
+      buffer_.push_back((top.flags & kObject) != 0 ? '}' : ']');
+      RETURN_IF_ERROR(FlushIfLarge());
+    }
+    return Status::OK();
+  }
+
+  Status FlushIfLarge() {
+    if (buffer_.size() >= 64 * 1024) {
+      output_bytes_ += buffer_.size();
+      RETURN_IF_ERROR(output_->Append(buffer_));
+      buffer_.clear();
+    }
+    return Status::OK();
+  }
+
+  ByteSink* output_;
+  ExtStack<OpenContainer> open_;
+  std::string buffer_;
+  uint64_t output_bytes_ = 0;
+};
 
 }  // namespace
 
-OrderSpec JsonOrderSpec(const JsonSortOptions& options) {
-  OrderSpec spec;
-  if (options.sort_object_members) {
-    OrderRule member;
-    member.element = "m";
-    member.source = KeySource::kAttribute;
-    member.argument = "k";
-    spec.AddRule(member);
-  }
-  if (!options.sort_arrays_by.empty() || options.sort_arrays_by_value) {
-    for (const char* tag : {"o", "a", "s", "n", "b", "z"}) {
-      OrderRule item;
-      item.element = tag;
-      item.source = KeySource::kAttribute;
-      item.argument = "nxk";
-      item.numeric = options.numeric_array_keys;
-      spec.AddRule(item);
-    }
-  }
-  return spec;
-}
-
-Status JsonToXml(ByteSource* input, ByteSink* output,
-                 const JsonSortOptions& options, JsonSortStats* stats) {
-  JsonSortStats local;
-  if (stats == nullptr) stats = &local;
-  Tokenizer tokenizer(input);
-  LiveCursor cursor(&tokenizer);
-  XmlWriter writer(output);
-  JsonToXmlTranslator translator(options, &writer, stats);
-  RETURN_IF_ERROR(translator.TranslateDocument(&cursor));
-  return writer.Finish();
-}
-
-Status XmlToJson(ByteSource* input, ByteSink* output) {
-  SaxParser parser(input);
-  std::string buffer;
-  // Per open container: does the next child need a comma?
-  struct Frame {
-    char kind;  // 'o', 'a', or 'm'
-    bool has_child = false;
-  };
-  std::vector<Frame> frames;
-
-  auto before_child = [&]() {
-    if (frames.empty()) return;
-    Frame& top = frames.back();
-    if (top.kind != 'm' && top.has_child) buffer.push_back(',');
-    top.has_child = true;
-  };
-  auto flush_if_large = [&]() -> Status {
-    if (buffer.size() >= 64 * 1024) {
-      RETURN_IF_ERROR(output->Append(buffer));
-      buffer.clear();
-    }
-    return Status::OK();
-  };
-
-  XmlEvent event;
-  while (true) {
-    ASSIGN_OR_RETURN(bool more, parser.Next(&event));
-    if (!more) break;
-    if (event.type == XmlEventType::kText) {
-      return Status::Corruption("unexpected text in JSON encoding");
-    }
-    if (event.type == XmlEventType::kEndElement) {
-      if (event.name == "o") {
-        buffer.push_back('}');
-        frames.pop_back();
-      } else if (event.name == "a") {
-        buffer.push_back(']');
-        frames.pop_back();
-      } else if (event.name == "m") {
-        frames.pop_back();
-      }
-      RETURN_IF_ERROR(flush_if_large());
-      continue;
-    }
-    const std::string* v = event.FindAttribute("v");
-    if (event.name == "o") {
-      before_child();
-      buffer.push_back('{');
-      frames.push_back({'o'});
-    } else if (event.name == "a") {
-      before_child();
-      buffer.push_back('[');
-      frames.push_back({'a'});
-    } else if (event.name == "m") {
-      const std::string* k = event.FindAttribute("k");
-      if (k == nullptr) return Status::Corruption("member without a name");
-      before_child();
-      AppendJsonString(&buffer, *k);
-      buffer.push_back(':');
-      frames.push_back({'m'});
-    } else if (event.name == "s") {
-      before_child();
-      AppendJsonString(&buffer, v != nullptr ? *v : "");
-    } else if (event.name == "n" || event.name == "b") {
-      if (v == nullptr) return Status::Corruption("value element without v");
-      before_child();
-      buffer.append(*v);
-    } else if (event.name == "z") {
-      before_child();
-      buffer.append("null");
-    } else {
-      return Status::Corruption("unknown tag in JSON encoding: " +
-                                event.name);
-    }
-    RETURN_IF_ERROR(flush_if_large());
-  }
-  if (!buffer.empty()) RETURN_IF_ERROR(output->Append(buffer));
-  return Status::OK();
-}
-
 JsonSorter::JsonSorter(SortEnv* env, JsonSortOptions options)
-    : env_(env),
-      device_(env->device()),
-      budget_(env->budget()),
-      options_(std::move(options)) {}
+    : env_(env), options_(std::move(options)) {}
 
 Status JsonSorter::Sort(ByteSource* input, ByteSink* output) {
   if (used_) return Status::InvalidArgument("JsonSorter is single-use");
   used_ = true;
-
-  // Stage 1: translate JSON into the element encoding, device-resident.
-  ByteRange encoded;
-  {
-    BlockStreamWriter writer(device_, budget_, IoCategory::kOther);
-    RETURN_IF_ERROR(writer.init_status());
-    RETURN_IF_ERROR(JsonToXml(input, &writer, options_, &stats_));
-    RETURN_IF_ERROR(writer.Finish(&encoded));
-  }
-
-  // Stage 2: NEXSORT the encoded document.
-  ByteRange sorted;
-  {
-    NexSortOptions sort_options;
-    sort_options.order = JsonOrderSpec(options_);
-    NexSorter sorter(env_, std::move(sort_options));
-    BlockStreamReader reader(device_, budget_, encoded, IoCategory::kInput);
-    RETURN_IF_ERROR(reader.init_status());
-    BlockStreamWriter writer(device_, budget_, IoCategory::kOutput);
-    RETURN_IF_ERROR(writer.init_status());
-    RETURN_IF_ERROR(sorter.Sort(&reader, &writer));
-    RETURN_IF_ERROR(writer.Finish(&sorted));
-    stats_.sort = sorter.stats();
-  }
-
-  // Stage 3: translate back to JSON text.
-  BlockStreamReader reader(device_, budget_, sorted, IoCategory::kInput);
-  RETURN_IF_ERROR(reader.init_status());
-  return XmlToJson(&reader, output);
+  JsonUnitScanner scanner(input, options_, &stats_);
+  NexSorter sorter(env_, NexSortOptions());
+  std::unique_ptr<SortedStream> stream;
+  ASSIGN_OR_RETURN(stream,
+                   sorter.SortUnits(&scanner, [](BlockDevice* device,
+                                                 MemoryBudget* budget,
+                                                 ByteSink* out) {
+                     return std::make_unique<JsonUnitEmitter>(device, budget,
+                                                              out);
+                   }));
+  RETURN_IF_ERROR(DrainTo(stream.get(), output));
+  stats_.sort = sorter.stats();
+  return Status::OK();
 }
 
 }  // namespace nexsort

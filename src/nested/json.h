@@ -1,27 +1,28 @@
 // Nested data beyond XML (paper Section 6: "while discussed in the context
 // of XML, our results apply to any type of nested data in general").
-// This module lets NEXSORT sort JSON documents in external memory by
-// translating JSON to an equivalent element tree, sorting it with the
-// unchanged NEXSORT engine, and translating back.
+// JsonSorter sorts JSON documents in external memory with the unchanged
+// NEXSORT engine: a JSON unit source feeds it units straight from the
+// tokenizer (nested/json_reader.h), and a JSON unit emitter writes the
+// sorted units back as compact JSON.
 //
-// Mapping (attribute-only, so values survive whitespace normalization):
-//   object            <o> ... </o>        members as <m k="name">value</m>
-//   array             <a> ... </a>        item values as direct children
-//   string "s"        <s v="s"/>
-//   number 1.5        <n v="1.5"/>        (lexeme preserved verbatim)
-//   true/false        <b v="true"/>
-//   null              <z/>
-// Array items additionally carry a synthesized attribute nxk holding their
-// sort key (extracted during translation from the configured member path),
-// which is stripped on the way back.
+// Unit mapping (docs/FORMATS.md, "JSON units"): every JSON value is one
+// start unit at level depth + 1, named by its type —
+//   object "o", array "a", string "s", number "n", true/false "b", null "z".
+// An object member is its value's unit, with the member name in attribute
+// k. A scalar carries its value in attribute v: the decoded string, the
+// number lexeme verbatim, or true/false. Sort keys ride in unit.key:
+//   member      its name, when sort_object_members;
+//   array item  the scalar at sort_arrays_by inside it (the item itself
+//               for sort_arrays_by_value), through OrderSpec::NormalizeKey.
+// An item's key is known only once the item has closed, so a keyed item is
+// held in memory, as units, until then: items must fit in memory,
+// documents need not.
 #pragma once
 
 #include <string>
 
 #include "core/nexsort.h"
 #include "env/sort_env.h"
-#include "extmem/block_device.h"
-#include "extmem/memory_budget.h"
 #include "extmem/stream.h"
 #include "util/status.h"
 
@@ -32,7 +33,8 @@ struct JsonSortOptions {
   bool sort_object_members = true;
 
   /// Order array items by the scalar at this '/'-separated member path
-  /// inside each item (e.g. "id" or "meta/id"); an empty path with
+  /// inside each item (e.g. "id" or "meta/id"); the first member of a
+  /// repeated name is the one followed. An empty path with
   /// sort_arrays_by_value sorts scalar arrays by their own values. Items
   /// lacking the key keep document order ahead of keyed items.
   std::string sort_arrays_by;
@@ -52,37 +54,24 @@ struct JsonSortStats {
   NexSortStats sort;     // the underlying NEXSORT run
 };
 
-/// External-memory JSON sorter: translate, NEXSORT, translate back. The
-/// translated document lives on the env's device (counted like everything
-/// else); the budget is shared with the sort.
+/// External-memory JSON sorter: NEXSORT over JSON units. Working storage
+/// lives on the env's device and the budget is the env's, as for XML.
 class JsonSorter {
  public:
   /// `env` is not owned and must outlive the sorter.
   JsonSorter(SortEnv* env, JsonSortOptions options);
 
-  /// Sort JSON text from `input` into `output`. Single use.
+  /// Sort JSON text from `input` into compact JSON text on `output`.
+  /// Single use.
   [[nodiscard]] Status Sort(ByteSource* input, ByteSink* output);
 
   const JsonSortStats& stats() const { return stats_; }
 
  private:
   SortEnv* env_;
-  BlockDevice* device_;
-  MemoryBudget* budget_;
   JsonSortOptions options_;
   JsonSortStats stats_;
   bool used_ = false;
 };
-
-/// Translate JSON text to its element-tree encoding (exposed for tests and
-/// for building custom pipelines). `options` drives nxk key extraction.
-[[nodiscard]] Status JsonToXml(ByteSource* input, ByteSink* output,
-                 const JsonSortOptions& options, JsonSortStats* stats);
-
-/// Translate the element-tree encoding back to compact JSON text.
-[[nodiscard]] Status XmlToJson(ByteSource* input, ByteSink* output);
-
-/// The OrderSpec matching the encoding and `options`.
-OrderSpec JsonOrderSpec(const JsonSortOptions& options);
 
 }  // namespace nexsort

@@ -32,14 +32,14 @@ void JsonWriter::CloseContainer(char close) {
 void JsonWriter::Key(std::string_view name) {
   if (!has_element_.empty() && has_element_.back()) out_ += ',';
   if (!has_element_.empty()) has_element_.back() = false;
-  AppendEscaped(name);
+  AppendEscaped(&out_, name);
   out_ += ':';
   after_key_ = true;
 }
 
 void JsonWriter::String(std::string_view value) {
   BeforeValue();
-  AppendEscaped(value);
+  AppendEscaped(&out_, value);
 }
 
 void JsonWriter::Int(int64_t value) {
@@ -89,28 +89,28 @@ void JsonWriter::Raw(std::string_view json) {
   out_ += json;
 }
 
-void JsonWriter::AppendEscaped(std::string_view value) {
-  out_ += '"';
+void JsonWriter::AppendEscaped(std::string* out, std::string_view value) {
+  out->push_back('"');
   for (unsigned char c : value) {
     switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\b': out_ += "\\b"; break;
-      case '\f': out_ += "\\f"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\r': out_ += "\\r"; break;
-      case '\t': out_ += "\\t"; break;
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
       default:
         if (c < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out_ += buf;
+          out->append(buf);
         } else {
-          out_ += static_cast<char>(c);
+          out->push_back(static_cast<char>(c));
         }
     }
   }
-  out_ += '"';
+  out->push_back('"');
 }
 
 }  // namespace nexsort

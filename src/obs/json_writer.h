@@ -46,6 +46,10 @@ class JsonWriter {
   /// Splice a pre-rendered JSON value (e.g. a nested ToJson() result).
   void Raw(std::string_view json);
 
+  /// Append `value` to *out as a quoted JSON string: RFC 8259 escapes for
+  /// quote, backslash and control characters; other bytes pass through.
+  static void AppendEscaped(std::string* out, std::string_view value);
+
   const std::string& text() const& { return out_; }
   std::string Take() && { return std::move(out_); }
 
@@ -53,7 +57,6 @@ class JsonWriter {
   void OpenContainer(char open);
   void CloseContainer(char close);
   void BeforeValue();
-  void AppendEscaped(std::string_view value);
 
   std::string out_;
   // One flag per open container: true once it has at least one element

@@ -3,265 +3,74 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "extmem/stream.h"
+#include "nested/json_reader.h"
 #include "obs/json_writer.h"
 
 namespace nexsort {
 
-namespace {
-
-Status ParseErrorAt(size_t offset, std::string_view what) {
-  return Status::ParseError("json: " + std::string(what) + " at byte " +
-                            std::to_string(offset));
-}
-
-}  // namespace
-
-/// Recursive-descent parser over one in-memory line. Depth is bounded to
-/// keep a hostile request from exhausting the connection thread's stack.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Status ParseDocument(JsonValue* out) {
-    RETURN_IF_ERROR(ParseValue(out, 0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return ParseErrorAt(pos_, "trailing content after document");
-    }
-    return Status::OK();
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return ParseErrorAt(pos_, "nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return ParseErrorAt(pos_, "unexpected end");
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"':
-        out->kind_ = JsonValue::Kind::kString;
-        return ParseString(&out->string_);
-      case 't':
-        RETURN_IF_ERROR(Literal("true"));
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = true;
-        return Status::OK();
-      case 'f':
-        RETURN_IF_ERROR(Literal("false"));
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = false;
-        return Status::OK();
-      case 'n':
-        RETURN_IF_ERROR(Literal("null"));
-        out->kind_ = JsonValue::Kind::kNull;
-        return Status::OK();
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  Status Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return ParseErrorAt(pos_, "malformed literal");
-    }
-    pos_ += word.size();
-    return Status::OK();
-  }
-
-  Status ParseObject(JsonValue* out, int depth) {
-    ++pos_;  // '{'
-    out->kind_ = JsonValue::Kind::kObject;
-    SkipWhitespace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return ParseErrorAt(pos_, "expected member name");
-      }
-      std::string key;
-      RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) return ParseErrorAt(pos_, "expected ':'");
-      JsonValue value;
-      RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->members_.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return ParseErrorAt(pos_, "expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(JsonValue* out, int depth) {
-    ++pos_;  // '['
-    out->kind_ = JsonValue::Kind::kArray;
-    SkipWhitespace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      JsonValue item;
-      RETURN_IF_ERROR(ParseValue(&item, depth + 1));
-      out->items_.push_back(std::move(item));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return ParseErrorAt(pos_, "expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    while (true) {
-      if (pos_ >= text_.size()) {
-        return ParseErrorAt(pos_, "unterminated string");
-      }
-      unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (c == '\\') {
-        RETURN_IF_ERROR(ParseEscape(out));
-        continue;
-      }
-      if (c < 0x20) return ParseErrorAt(pos_, "raw control character");
-      out->push_back(static_cast<char>(c));
-      ++pos_;
-    }
-  }
-
-  Status ParseEscape(std::string* out) {
-    ++pos_;  // backslash
-    if (pos_ >= text_.size()) return ParseErrorAt(pos_, "dangling escape");
-    char c = text_[pos_++];
-    switch (c) {
-      case '"': out->push_back('"'); return Status::OK();
-      case '\\': out->push_back('\\'); return Status::OK();
-      case '/': out->push_back('/'); return Status::OK();
-      case 'b': out->push_back('\b'); return Status::OK();
-      case 'f': out->push_back('\f'); return Status::OK();
-      case 'n': out->push_back('\n'); return Status::OK();
-      case 'r': out->push_back('\r'); return Status::OK();
-      case 't': out->push_back('\t'); return Status::OK();
-      case 'u': {
-        uint32_t code = 0;
-        RETURN_IF_ERROR(ParseHex4(&code));
-        // Surrogate pair: a high surrogate must be followed by \u-escaped
-        // low surrogate; combine into one scalar value.
-        if (code >= 0xD800 && code <= 0xDBFF) {
-          if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-              text_[pos_ + 1] != 'u') {
-            return ParseErrorAt(pos_, "unpaired high surrogate");
-          }
-          pos_ += 2;
-          uint32_t low = 0;
-          RETURN_IF_ERROR(ParseHex4(&low));
-          if (low < 0xDC00 || low > 0xDFFF) {
-            return ParseErrorAt(pos_, "invalid low surrogate");
-          }
-          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-        } else if (code >= 0xDC00 && code <= 0xDFFF) {
-          return ParseErrorAt(pos_, "unpaired low surrogate");
-        }
-        AppendUtf8(out, code);
-        return Status::OK();
-      }
-      default:
-        return ParseErrorAt(pos_ - 1, "unknown escape");
-    }
-  }
-
-  Status ParseHex4(uint32_t* out) {
-    if (pos_ + 4 > text_.size()) {
-      return ParseErrorAt(pos_, "truncated \\u escape");
-    }
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_ + i];
-      uint32_t digit;
-      if (c >= '0' && c <= '9') digit = c - '0';
-      else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-      else if (c >= 'A' && c <= 'F') digit = 10 + (c - 'A');
-      else return ParseErrorAt(pos_ + i, "bad hex digit");
-      value = (value << 4) | digit;
-    }
-    pos_ += 4;
-    *out = value;
-    return Status::OK();
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t code) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
-      // sign consumed
-    }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return ParseErrorAt(pos_, "expected value");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
-      return ParseErrorAt(start, "malformed number");
-    }
-    out->kind_ = JsonValue::Kind::kNumber;
-    out->number_ = value;
-    return Status::OK();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
 StatusOr<JsonValue> JsonValue::Parse(std::string_view text) {
-  JsonValue value;
-  JsonParser parser(text);
-  RETURN_IF_ERROR(parser.ParseDocument(&value));
-  return value;
+  // The DOM is destroyed and re-serialized recursively, so the depth bound
+  // keeps a hostile request from exhausting the connection thread's stack.
+  constexpr int kMaxDepth = 64;
+  StringByteSource source(text);
+  JsonReader reader(&source, kMaxDepth);
+  struct Open {
+    std::string name;  // member name of the container, if any
+    JsonValue value;
+  };
+  std::vector<Open> open;
+  JsonValue root;
+  JsonEvent event;
+  while (true) {
+    ASSIGN_OR_RETURN(bool more, reader.Next(&event));
+    if (!more) return root;
+    JsonValue value;
+    std::string name = std::move(event.name);
+    switch (event.type) {
+      case JsonEvent::Type::kBeginObject:
+      case JsonEvent::Type::kBeginArray:
+        value.kind_ = event.type == JsonEvent::Type::kBeginObject
+                          ? Kind::kObject
+                          : Kind::kArray;
+        open.push_back({std::move(name), std::move(value)});
+        continue;
+      case JsonEvent::Type::kEndObject:
+      case JsonEvent::Type::kEndArray:
+        name = std::move(open.back().name);
+        value = std::move(open.back().value);
+        open.pop_back();
+        break;
+      case JsonEvent::Type::kString:
+        value.kind_ = Kind::kString;
+        value.string_ = std::move(event.text);
+        break;
+      case JsonEvent::Type::kNumber:
+        // The reader checked the grammar; only the range is left.
+        value.number_ = std::strtod(event.text.c_str(), nullptr);
+        if (!std::isfinite(value.number_)) {
+          return Status::ParseError("json: malformed number at byte " +
+                                    std::to_string(event.offset));
+        }
+        value.kind_ = Kind::kNumber;
+        break;
+      case JsonEvent::Type::kTrue:
+      case JsonEvent::Type::kFalse:
+        value.kind_ = Kind::kBool;
+        value.bool_ = event.type == JsonEvent::Type::kTrue;
+        break;
+      case JsonEvent::Type::kNull:
+        break;
+    }
+    if (open.empty()) {
+      root = std::move(value);
+    } else if (open.back().value.kind_ == Kind::kObject) {
+      open.back().value.members_.emplace_back(std::move(name),
+                                              std::move(value));
+    } else {
+      open.back().value.items_.push_back(std::move(value));
+    }
+  }
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

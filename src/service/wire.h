@@ -3,13 +3,14 @@
 //
 // The service side needs a *reader* for JSON (requests arrive as text);
 // responses are produced with the streaming JsonWriter like every other
-// emitter in the tree. JsonValue is that reader: a small immutable DOM
-// with the exact feature set the protocol uses (objects, arrays, strings
-// with full escape handling, numbers, booleans, null) and Status-based
-// error reporting with byte-offset positions. It is not a general XML/JSON
-// translation layer — that lives in src/nested/ — just the service's
-// request decoder, shared by nexsortctl so client and daemon can never
-// disagree about framing.
+// emitter in the tree. JsonValue is that reader's DOM: small and immutable,
+// with the exact feature set the protocol uses (objects, arrays, strings,
+// finite numbers, booleans, null). It is built from JsonReader
+// (nested/json_reader.h), the same tokenizer JsonSorter uses, so errors
+// carry its byte-offset positions and the daemon accepts exactly the
+// documents the sorter does, up to a 64-level depth bound and finite
+// numbers. Shared by nexsortctl so client and daemon can never disagree
+// about framing.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +80,6 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
-
-  friend class JsonParser;
 };
 
 }  // namespace nexsort

@@ -17,6 +17,7 @@
 
 #include <string_view>
 
+#include "extmem/stream.h"
 #include "util/status.h"
 
 namespace nexsort {
@@ -30,5 +31,16 @@ class SortedStream {
   /// the next call. Returns false when the stream is complete.
   [[nodiscard]] virtual StatusOr<bool> Next(std::string_view* chunk) = 0;
 };
+
+/// Append every remaining chunk of `stream` to `output`: the eager form of
+/// a streaming sort.
+[[nodiscard]] inline Status DrainTo(SortedStream* stream, ByteSink* output) {
+  std::string_view chunk;
+  while (true) {
+    ASSIGN_OR_RETURN(bool more, stream->Next(&chunk));
+    if (!more) return Status::OK();
+    RETURN_IF_ERROR(output->Append(chunk));
+  }
+}
 
 }  // namespace nexsort

@@ -15,6 +15,9 @@ std::vector<std::string_view> Split(std::string_view input, char sep);
 /// floating-point number; sets *value on success.
 bool ParseNumber(std::string_view s, double* value);
 
+/// Append the UTF-8 encoding of the code point `cp` to *out.
+void AppendUtf8(std::string* out, uint32_t cp);
+
 /// Render a byte count with binary units ("1.5 MiB").
 std::string HumanBytes(uint64_t bytes);
 

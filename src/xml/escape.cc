@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/string_util.h"
+
 namespace nexsort {
 
 namespace {
@@ -26,25 +28,6 @@ void AppendEscaped(std::string* out, std::string_view text, bool attribute) {
       case '>': out->append("&gt;"); break;
       default: out->append("&quot;"); break;
     }
-  }
-}
-
-// Append the UTF-8 encoding of `cp` to *out.
-void AppendUtf8(std::string* out, uint32_t cp) {
-  if (cp < 0x80) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp < 0x10000) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
 }
 

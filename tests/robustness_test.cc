@@ -5,6 +5,7 @@
 
 #include "core/sorted_check.h"
 #include "nested/json.h"
+#include "service/wire.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "xml/generator.h"
@@ -88,6 +89,74 @@ TEST(Robustness, MutatedJsonNeverCrashesTheSorter) {
     EXPECT_EQ(env.budget()->used_blocks(), 0u);
   }
   EXPECT_GT(failures, 20);
+}
+
+TEST(Robustness, WireAndSorterAcceptTheSameMutatedJson) {
+  // One JSON reader behind both front ends: a mutated document is either
+  // accepted by both or rejected by both. The wire alone bounds nesting at
+  // 64 levels and rejects numbers that overflow a double.
+  std::string base =
+      "{\"users\":[{\"id\":3,\"name\":\"a\\u00e9\\n\"},{\"id\":-1.5e2}],"
+      "\"big\":1e308,\"ok\":[true,false,null],\"s\":\"q\\\"\\ud83d\\ude00\","
+      "\"deep\":";
+  for (int i = 0; i < 63; ++i) base += "[";  // innermost value at depth 64
+  base += "0";
+  for (int i = 0; i < 63; ++i) base += "]";
+  base += "}";
+  const std::string alphabet = "{}[],:\"\\ \t\n0123456789eE.-+tfnu";
+
+  Random rng(703);
+  int accepted = 0;
+  int rejected = 0;
+  int wire_only = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string json = base;
+    int mutations = 1 + rng.Uniform(2);
+    for (int m = 0; m < mutations; ++m) {
+      size_t at = rng.Uniform(json.size());
+      char c = rng.OneIn(4) ? static_cast<char>(rng.Uniform(256))
+                            : alphabet[rng.Uniform(alphabet.size())];
+      switch (rng.Uniform(4)) {
+        case 0: json[at] = c; break;
+        case 1: json.erase(at, 1); break;
+        case 2: json.insert(at, 1, c); break;
+        case 3: json = "[" + json + "]"; break;  // one level deeper
+      }
+    }
+
+    auto wire = JsonValue::Parse(json);
+    Env env(512, 12);
+    JsonSortOptions options;
+    options.sort_arrays_by = "id";
+    options.numeric_array_keys = true;
+    JsonSorter sorter(env.get(), options);
+    StringByteSource source(json);
+    std::string out;
+    StringByteSink sink(&out);
+    Status st = sorter.Sort(&source, &sink);
+    EXPECT_EQ(env.budget()->used_blocks(), 0u);
+
+    if (st.ok() && !wire.ok()) {
+      const std::string message = wire.status().ToString();
+      EXPECT_TRUE(message.find("nesting too deep") != std::string::npos ||
+                  message.find("malformed number") != std::string::npos)
+          << "trial " << trial << ": only the wire rejected: " << message;
+      ++wire_only;
+      continue;
+    }
+    EXPECT_EQ(st.ok(), wire.ok())
+        << "trial " << trial << ": sorter " << st.ToString() << ", wire "
+        << (wire.ok() ? "OK" : wire.status().ToString());
+    if (st.ok()) {
+      ++accepted;
+    } else {
+      ++rejected;
+      EXPECT_TRUE(st.IsParseError()) << st.ToString();
+    }
+  }
+  EXPECT_GT(accepted, 30);
+  EXPECT_GT(rejected, 30);
+  EXPECT_GT(wire_only, 0);
 }
 
 TEST(Robustness, PathologicalDocumentShapes) {

@@ -58,13 +58,32 @@ TEST(ServiceWire, DecodesEscapesIncludingSurrogatePairs) {
 }
 
 TEST(ServiceWire, RejectsMalformedInput) {
-  EXPECT_FALSE(JsonValue::Parse("").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":1} trailing").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":}").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":\"unterminated}").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":nul}").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":1e}").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"s\":\"\\ud800\"}").ok());  // unpaired
+  // After the unpaired surrogate: a raw control character in a string, a
+  // lone low surrogate, a leading zero and a bare fraction (RFC 8259), and
+  // numbers no double holds.
+  for (const char* bad :
+       {"", "{\"a\":1} trailing", "{\"a\":}", "{\"a\":\"unterminated}",
+        "{\"a\":nul}", "{\"a\":1e}", "{\"s\":\"\\ud800\"}",
+        "{\"s\":\"a\tb\"}", "{\"s\":\"\\udc00\"}", "{\"n\":01}",
+        "{\"n\":1.}", "{\"n\":1e400}", "{\"n\":-1e400}"}) {
+    auto parsed = JsonValue::Parse(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_TRUE(parsed.status().IsParseError()) << bad;
+    EXPECT_NE(parsed.status().ToString().find(" at byte "), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ServiceWire, BoundsNestingAt64Levels) {
+  std::string deep;
+  for (int i = 0; i < 64; ++i) deep += "[";
+  deep += "0";
+  for (int i = 0; i < 64; ++i) deep += "]";
+  EXPECT_TRUE(JsonValue::Parse(deep).ok());  // the scalar sits at depth 64
+  auto too_deep = JsonValue::Parse("[" + deep + "]");
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.status().ToString().find("nesting too deep"),
+            std::string::npos);
 }
 
 TEST(ServiceWire, TypedAccessorsFallBackOnMissingOrMistyped) {
