@@ -117,8 +117,8 @@ int main() {
       BlockStreamWriter out(device, budget, IoCategory::kOutput);
       MergeOptions merge_options;
       merge_options.order = MergeSpec();
-      Status st = StructuralMerge(&left_reader, &right_reader, &out,
-                                  merge_options);
+      Status st =
+          StructuralMerge({&left_reader, &right_reader}, &out, merge_options);
       if (!st.ok()) {
         std::fprintf(stderr, "merge failed: %s\n", st.ToString().c_str());
         return 1;

@@ -89,7 +89,7 @@ int main() {
   std::string archive;
   StringByteSink sink(&archive);
   MergeStats stats;
-  Status status = StructuralMergeMany(inputs, &sink, options, &stats);
+  Status status = StructuralMerge(inputs, &sink, options, &stats);
   if (!status.ok()) {
     std::fprintf(stderr, "merge failed: %s\n", status.ToString().c_str());
     return 1;
@@ -97,8 +97,10 @@ int main() {
 
   std::printf("archive (one pass over all versions):\n%s\n\n",
               archive.c_str());
-  std::printf("matched across versions: %llu, single-version elements: %llu\n",
+  std::printf("matched across versions: %llu, only in version 1: %llu, "
+              "only in one later version: %llu\n",
               static_cast<unsigned long long>(stats.matched_elements),
-              static_cast<unsigned long long>(stats.left_only));
+              static_cast<unsigned long long>(stats.left_only),
+              static_cast<unsigned long long>(stats.right_only));
   return 0;
 }

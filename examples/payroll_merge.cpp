@@ -105,7 +105,8 @@ int main() {
   std::string merged;
   StringByteSink sink(&merged);
   MergeStats stats;
-  Status status = StructuralMerge(&left, &right, &sink, merge_options, &stats);
+  Status status =
+      StructuralMerge({&left, &right}, &sink, merge_options, &stats);
   if (!status.ok()) {
     std::fprintf(stderr, "merge failed: %s\n", status.ToString().c_str());
     return 1;

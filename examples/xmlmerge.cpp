@@ -6,12 +6,14 @@
 //
 //   --by-attr NAME   match/order elements by attribute NAME (default: id)
 //   --numeric        compare keys numerically
-//   --concat-text    keep text from every input (default: first input wins)
+//   --concat-text    keep text from every input (default: an input's text
+//                    is dropped where an earlier input already has text)
 //   --updates        two inputs only: treat the second as a batch of
 //                    updates (op="merge|replace|delete" attributes)
 //   --memory-mb M    internal memory budget in MiB (default 64)
 //   --block-kb B     block size in KiB (default 64)
-//   --stats          print match statistics afterwards
+//   --stats          print match statistics afterwards: elements matched,
+//                    only in the first input, only in one other input
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -192,14 +194,9 @@ int main(int argc, char** argv) {
   options.order = spec;
   options.text_policy = concat_text ? MergeOptions::TextPolicy::kConcat
                                     : MergeOptions::TextPolicy::kPreferLeft;
+  options.apply_update_ops = updates;
   MergeStats stats;
-  Status status;
-  if (updates) {
-    options.apply_update_ops = true;
-    status = StructuralMerge(inputs[0], inputs[1], &sink, options, &stats);
-  } else {
-    status = StructuralMergeMany(inputs, &sink, options, &stats);
-  }
+  Status status = StructuralMerge(inputs, &sink, options, &stats);
   for (FILE* file : files) std::fclose(file);
   std::fclose(output);
   for (const std::string& path : sorted_paths) std::remove(path.c_str());
@@ -209,7 +206,8 @@ int main(int argc, char** argv) {
   }
   if (show_stats) {
     std::fprintf(stderr,
-                 "matched %llu, single-input %llu, right-only %llu, "
+                 "matched %llu, first-input-only %llu, "
+                 "other-single-input %llu, "
                  "replaced %llu, deleted %llu\n",
                  static_cast<unsigned long long>(stats.matched_elements),
                  static_cast<unsigned long long>(stats.left_only),

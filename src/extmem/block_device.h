@@ -251,7 +251,8 @@ class IoCategoryScope {
 std::unique_ptr<BlockDevice> NewMemoryBlockDevice(size_t block_size,
                                                   DiskModel model = {});
 
-/// File-backed block device using a single backing file.
+/// File-backed block device using a single backing file, created fresh at
+/// `path`: a file already there is unlinked first, never written to.
 [[nodiscard]] StatusOr<std::unique_ptr<BlockDevice>> NewFileBlockDevice(
     const std::string& path, size_t block_size, DiskModel model = {});
 

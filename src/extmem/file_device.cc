@@ -70,7 +70,13 @@ class FileBlockDevice final : public BlockDevice {
 
 StatusOr<std::unique_ptr<BlockDevice>> NewFileBlockDevice(
     const std::string& path, size_t block_size, DiskModel model) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  // A stale file at `path` is unlinked rather than truncated in place:
+  // truncating a large leftover work file costs seconds, dropping its
+  // directory entry does not (and leaves other links to it untouched).
+  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
+    return Status::IOError("unlink " + path + ": " + std::strerror(errno));
+  }
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
   if (fd < 0) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }

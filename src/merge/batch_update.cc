@@ -38,7 +38,8 @@ Status ApplyBatchUpdates(ByteSource* base, std::string_view updates,
   merge_options.op_attribute = options.op_attribute;
   merge_options.tracer = tracer;
   StringByteSource updates_source(sorted_updates);
-  return StructuralMerge(base, &updates_source, output, merge_options, stats);
+  return StructuralMerge({base, &updates_source}, output, merge_options,
+                         stats);
 }
 
 }  // namespace nexsort

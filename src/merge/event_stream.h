@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/order_spec.h"
 #include "extmem/stream.h"
@@ -13,15 +14,37 @@
 namespace nexsort {
 namespace merge_internal {
 
-/// One-event-lookahead stream over a sorted document.
+/// One-event-lookahead stream over a sorted document, with pushback: events
+/// read ahead can be unread and are then replayed before the parser resumes.
 class EventStream {
  public:
   explicit EventStream(ByteSource* source) : parser_(source) {}
 
   [[nodiscard]] Status Advance() {
+    if (!unread_.empty()) {
+      event_ = std::move(unread_.back());
+      unread_.pop_back();
+      done_ = false;
+      return Status::OK();
+    }
     ASSIGN_OR_RETURN(bool more, parser_.Next(&event_));
     done_ = !more;
     return Status::OK();
+  }
+
+  /// Put `events` — the events consumed just before the current one, in
+  /// stream order — back in front of it: current() becomes events.front(),
+  /// and the old current event follows events.back(). Unreads nest: an
+  /// unread while earlier unread events are still pending goes in front of
+  /// them.
+  void Unread(std::vector<XmlEvent> events) {
+    if (events.empty()) return;
+    if (!done_) unread_.push_back(std::move(event_));
+    for (size_t i = events.size() - 1; i > 0; --i) {
+      unread_.push_back(std::move(events[i]));
+    }
+    event_ = std::move(events.front());
+    done_ = false;
   }
 
   bool done() const { return done_; }
@@ -32,6 +55,7 @@ class EventStream {
   SaxParser parser_;
   XmlEvent event_;
   bool done_ = false;
+  std::vector<XmlEvent> unread_;  // pending events, next one at the back
 };
 
 /// What the stream's current item is, within an element's child list.

@@ -1,6 +1,7 @@
 #include "merge/structural_diff.h"
 
-#include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "merge/event_stream.h"
@@ -11,68 +12,10 @@ namespace nexsort {
 namespace {
 
 using merge_internal::ChildId;
+using merge_internal::Classify;
 using merge_internal::EventStream;
-
-// Abstract event source so the structural path can splice a buffered
-// prefix (read while probing a subtree's size) back in front of the live
-// stream.
-class Src {
- public:
-  virtual ~Src() = default;
-  virtual bool done() const = 0;
-  virtual const XmlEvent& current() const = 0;
-  virtual Status Advance() = 0;
-};
-
-class LiveSrc final : public Src {
- public:
-  explicit LiveSrc(EventStream* stream) : stream_(stream) {}
-  bool done() const override { return stream_->done(); }
-  const XmlEvent& current() const override { return stream_->current(); }
-  Status Advance() override { return stream_->Advance(); }
-
- private:
-  EventStream* stream_;
-};
-
-// Puts a buffered event prefix back in front of any source — including
-// another SpliceSrc, so nested oversized subtrees compose.
-class SpliceSrc final : public Src {
- public:
-  SpliceSrc(std::vector<XmlEvent> prefix, Src* tail)
-      : prefix_(std::move(prefix)), tail_(tail) {}
-  bool done() const override {
-    return index_ >= prefix_.size() && tail_->done();
-  }
-  const XmlEvent& current() const override {
-    return index_ < prefix_.size() ? prefix_[index_] : tail_->current();
-  }
-  Status Advance() override {
-    if (index_ < prefix_.size()) {
-      ++index_;
-      return Status::OK();
-    }
-    return tail_->Advance();
-  }
-
- private:
-  std::vector<XmlEvent> prefix_;
-  size_t index_ = 0;
-  Src* tail_;
-};
-
-merge_internal::ItemType Classify(const Src& src) {
-  if (src.done()) return merge_internal::ItemType::kEnd;
-  switch (src.current().type) {
-    case XmlEventType::kStartElement:
-      return merge_internal::ItemType::kElement;
-    case XmlEventType::kText:
-      return merge_internal::ItemType::kText;
-    case XmlEventType::kEndElement:
-      return merge_internal::ItemType::kEnd;
-  }
-  return merge_internal::ItemType::kEnd;
-}
+using merge_internal::IdOf;
+using merge_internal::ItemType;
 
 size_t EventBytes(const XmlEvent& event) {
   size_t bytes = event.name.size() + event.text.size() + 4;
@@ -89,7 +32,7 @@ bool EventsEqual(const XmlEvent& a, const XmlEvent& b) {
 
 class Differ {
  public:
-  Differ(EventStream* base, EventStream* target, ByteSink* output,
+  Differ(ByteSource* base, ByteSource* target, ByteSink* output,
          const DiffOptions& options, DiffStats* stats)
       : base_(base),
         target_(target),
@@ -98,39 +41,33 @@ class Differ {
         stats_(stats) {}
 
   Status Run() {
-    RETURN_IF_ERROR(base_->Advance());
-    RETURN_IF_ERROR(target_->Advance());
-    if (base_->done() || target_->done() ||
-        base_->current().type != XmlEventType::kStartElement ||
-        target_->current().type != XmlEventType::kStartElement ||
-        base_->current().name != target_->current().name) {
+    RETURN_IF_ERROR(base_.Advance());
+    RETURN_IF_ERROR(target_.Advance());
+    if (base_.done() || target_.done() ||
+        base_.current().type != XmlEventType::kStartElement ||
+        target_.current().type != XmlEventType::kStartElement ||
+        base_.current().name != target_.current().name) {
       return Status::InvalidArgument("diff inputs must share a root tag");
     }
-    if (base_->current().attributes != target_->current().attributes) {
+    if (base_.current().attributes != target_.current().attributes) {
       return Status::NotSupported(
           "root attribute changes cannot be expressed as a batch");
     }
     // The batch root is always present (an empty batch is a valid no-op).
-    RETURN_IF_ERROR(writer_.StartElement(target_->current().name,
-                                         target_->current().attributes));
-    RETURN_IF_ERROR(base_->Advance());
-    RETURN_IF_ERROR(target_->Advance());
-    LiveSrc base_src(base_);
-    LiveSrc target_src(target_);
-    RETURN_IF_ERROR(DiffChildren(&base_src, &target_src));
+    RETURN_IF_ERROR(writer_.StartElement(target_.current().name,
+                                         target_.current().attributes));
+    RETURN_IF_ERROR(base_.Advance());
+    RETURN_IF_ERROR(target_.Advance());
+    RETURN_IF_ERROR(DiffChildren());
     RETURN_IF_ERROR(writer_.EndElement());
     return writer_.Finish();
   }
 
  private:
-  ChildId IdOf(const XmlEvent& event) const {
-    return merge_internal::IdOf(options_.order, event);
-  }
-
   // Copy the current element's subtree from `src` to the writer; with
   // `op` non-empty the root start tag gains op="<op>". With emit=false the
   // subtree is skipped instead.
-  Status CopySubtree(Src* src, bool emit, std::string_view op = {}) {
+  Status CopySubtree(EventStream* src, bool emit, std::string_view op = {}) {
     int depth = 0;
     bool first = true;
     do {
@@ -167,7 +104,7 @@ class Differ {
   // Read the current element's subtree into *events; stops early (leaving
   // the stream mid-subtree) once `limit` bytes are buffered. *complete
   // says whether the whole subtree was consumed.
-  Status ProbeSubtree(Src* src, std::vector<XmlEvent>* events,
+  Status ProbeSubtree(EventStream* src, std::vector<XmlEvent>* events,
                       size_t limit, bool* complete) {
     int depth = 0;
     size_t bytes = 0;
@@ -221,14 +158,14 @@ class Differ {
     return Status::OK();
   }
 
-  Status DiffMatched(Src* base, Src* target) {
+  Status DiffMatched() {
     std::vector<XmlEvent> base_events;
     std::vector<XmlEvent> target_events;
     bool base_complete = false;
     bool target_complete = false;
-    RETURN_IF_ERROR(ProbeSubtree(base, &base_events, options_.buffer_limit,
+    RETURN_IF_ERROR(ProbeSubtree(&base_, &base_events, options_.buffer_limit,
                                  &base_complete));
-    RETURN_IF_ERROR(ProbeSubtree(target, &target_events,
+    RETURN_IF_ERROR(ProbeSubtree(&target_, &target_events,
                                  options_.buffer_limit, &target_complete));
     if (base_complete && target_complete) {
       bool equal = base_events.size() == target_events.size();
@@ -244,22 +181,21 @@ class Differ {
       return ReplayEvents(target_events, "replace");
     }
 
-    // Oversized: splice the probed prefixes back and recurse structurally.
-    SpliceSrc base_spliced(std::move(base_events), base);
-    SpliceSrc target_spliced(std::move(target_events), target);
-    const XmlEvent& base_start = base_spliced.current();
-    const XmlEvent& target_start = target_spliced.current();
-    if (base_start.attributes != target_start.attributes) {
+    // Oversized: unread the probed prefixes and recurse structurally.
+    base_.Unread(std::move(base_events));
+    target_.Unread(std::move(target_events));
+    if (base_.current().attributes != target_.current().attributes) {
       ++stats_->replaced;
       RETURN_IF_ERROR(EnsureOpened());
-      return  // copy target, skip base
-          CopyBoth(&base_spliced, &target_spliced);
+      RETURN_IF_ERROR(CopySubtree(&base_, /*emit=*/false));
+      return CopySubtree(&target_, /*emit=*/true, "replace");
     }
     ++stats_->descended;
-    pending_.push_back({target_start.name, target_start.attributes, false});
-    RETURN_IF_ERROR(base_spliced.Advance());
-    RETURN_IF_ERROR(target_spliced.Advance());
-    Status st = DiffChildren(&base_spliced, &target_spliced);
+    pending_.push_back(
+        {target_.current().name, target_.current().attributes, false});
+    RETURN_IF_ERROR(base_.Advance());
+    RETURN_IF_ERROR(target_.Advance());
+    Status st = DiffChildren();
     if (st.ok() && pending_.back().opened) {
       st = writer_.EndElement();
     }
@@ -267,44 +203,37 @@ class Differ {
     return st;
   }
 
-  Status CopyBoth(Src* base, Src* target) {
-    RETURN_IF_ERROR(CopySubtree(base, /*emit=*/false));
-    return CopySubtree(target, /*emit=*/true, "replace");
-  }
-
-  Status DiffChildren(Src* base, Src* target) {
+  Status DiffChildren() {
     while (true) {
-      auto tb = Classify(*base);
-      auto tt = Classify(*target);
+      auto tb = Classify(base_);
+      auto tt = Classify(target_);
 
-      if (tb == merge_internal::ItemType::kText ||
-          tt == merge_internal::ItemType::kText) {
+      if (tb == ItemType::kText || tt == ItemType::kText) {
         // Direct text under an unbuffered subtree: only identical text in
         // identical positions is expressible.
-        if (tb != tt || base->current().text != target->current().text) {
+        if (tb != tt || base_.current().text != target_.current().text) {
           return Status::NotSupported(
               "text change inside a subtree larger than the diff buffer");
         }
-        RETURN_IF_ERROR(base->Advance());
-        RETURN_IF_ERROR(target->Advance());
+        RETURN_IF_ERROR(base_.Advance());
+        RETURN_IF_ERROR(target_.Advance());
         continue;
       }
-      if (tb == merge_internal::ItemType::kEnd &&
-          tt == merge_internal::ItemType::kEnd) {
-        if (!base->done()) RETURN_IF_ERROR(base->Advance());
-        if (!target->done()) RETURN_IF_ERROR(target->Advance());
+      if (tb == ItemType::kEnd && tt == ItemType::kEnd) {
+        if (!base_.done()) RETURN_IF_ERROR(base_.Advance());
+        if (!target_.done()) RETURN_IF_ERROR(target_.Advance());
         return Status::OK();
       }
 
       bool take_base;
       bool match = false;
-      if (tb == merge_internal::ItemType::kEnd) {
+      if (tb == ItemType::kEnd) {
         take_base = false;
-      } else if (tt == merge_internal::ItemType::kEnd) {
+      } else if (tt == ItemType::kEnd) {
         take_base = true;
       } else {
-        ChildId idb = IdOf(base->current());
-        ChildId idt = IdOf(target->current());
+        ChildId idb = IdOf(options_.order, base_.current());
+        ChildId idt = IdOf(options_.order, target_.current());
         if (idb == idt) {
           match = true;
           take_base = true;
@@ -314,29 +243,29 @@ class Differ {
       }
 
       if (match) {
-        RETURN_IF_ERROR(DiffMatched(base, target));
+        RETURN_IF_ERROR(DiffMatched());
         continue;
       }
       if (take_base) {
         // Base-only: emit a deletion stub carrying the identity attributes.
         ++stats_->deleted;
         RETURN_IF_ERROR(EnsureOpened());
-        std::vector<XmlAttribute> attrs = base->current().attributes;
+        std::vector<XmlAttribute> attrs = base_.current().attributes;
         attrs.push_back({options_.op_attribute, "delete"});
-        RETURN_IF_ERROR(writer_.StartElement(base->current().name, attrs));
+        RETURN_IF_ERROR(writer_.StartElement(base_.current().name, attrs));
         RETURN_IF_ERROR(writer_.EndElement());
-        RETURN_IF_ERROR(CopySubtree(base, /*emit=*/false));
+        RETURN_IF_ERROR(CopySubtree(&base_, /*emit=*/false));
       } else {
         // Target-only: insert the subtree verbatim.
         ++stats_->inserted;
         RETURN_IF_ERROR(EnsureOpened());
-        RETURN_IF_ERROR(CopySubtree(target, /*emit=*/true));
+        RETURN_IF_ERROR(CopySubtree(&target_, /*emit=*/true));
       }
     }
   }
 
-  EventStream* base_;
-  EventStream* target_;
+  EventStream base_;
+  EventStream target_;
   XmlWriter writer_;
   const DiffOptions& options_;
   DiffStats* stats_;
@@ -351,9 +280,7 @@ Status StructuralDiff(ByteSource* base, ByteSource* target, ByteSink* output,
     return Status::NotSupported("diff needs keys available at start tags");
   }
   DiffStats local;
-  EventStream base_stream(base);
-  EventStream target_stream(target);
-  Differ differ(&base_stream, &target_stream, output, options,
+  Differ differ(base, target, output, options,
                 stats != nullptr ? stats : &local);
   return differ.Run();
 }

@@ -1,7 +1,11 @@
 #include "merge/structural_merge.h"
 
-#include <memory>
+#include <algorithm>
+#include <deque>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "merge/event_stream.h"
@@ -14,80 +18,73 @@ namespace nexsort {
 namespace {
 
 using merge_internal::ChildId;
+using merge_internal::Classify;
 using merge_internal::EventStream;
+using merge_internal::IdOf;
+using merge_internal::ItemType;
 
+// Merges any number of simultaneously scanned documents. Streams are named
+// by input index; index 0 is the left (base) document and, in update mode,
+// index 1 is the updates document.
 class Merger {
  public:
-  Merger(EventStream* left, EventStream* right, ByteSink* output,
+  Merger(const std::vector<ByteSource*>& inputs, ByteSink* output,
          const MergeOptions& options, MergeStats* stats)
-      : left_(left),
-        right_(right),
-        writer_(output),
-        options_(options),
-        stats_(stats) {}
+      : writer_(output), options_(options), stats_(stats) {
+    for (ByteSource* input : inputs) streams_.emplace_back(input);
+  }
 
   Status Run() {
-    RETURN_IF_ERROR(left_->Advance());
-    RETURN_IF_ERROR(right_->Advance());
-    if (left_->done() || right_->done()) {
-      return Status::InvalidArgument("empty merge input");
+    std::vector<size_t> all(streams_.size());
+    std::iota(all.begin(), all.end(), 0);
+    RETURN_IF_ERROR(AdvanceAll(all));
+    for (const EventStream& stream : streams_) {
+      if (stream.done() ||
+          stream.current().type != XmlEventType::kStartElement ||
+          stream.current().name != streams_.front().current().name) {
+        return Status::InvalidArgument("merge inputs must share a root tag");
+      }
     }
-    const XmlEvent& a = left_->current();
-    const XmlEvent& b = right_->current();
-    if (a.type != XmlEventType::kStartElement ||
-        b.type != XmlEventType::kStartElement || a.name != b.name) {
-      return Status::InvalidArgument("merge inputs must share a root tag");
-    }
-    RETURN_IF_ERROR(EmitMergedStart(a, b));
-    RETURN_IF_ERROR(left_->Advance());
-    RETURN_IF_ERROR(right_->Advance());
-    RETURN_IF_ERROR(MergeChildren());
+    RETURN_IF_ERROR(EmitMergedStart(all));
+    RETURN_IF_ERROR(AdvanceAll(all));
+    RETURN_IF_ERROR(MergeChildren(all));
     RETURN_IF_ERROR(writer_.EndElement());
     return writer_.Finish();
   }
 
  private:
-  enum class ItemType { kElement, kText, kEnd };
-
-  ItemType Classify(const EventStream& stream) const {
-    if (stream.done()) return ItemType::kEnd;
-    switch (stream.current().type) {
-      case XmlEventType::kStartElement: return ItemType::kElement;
-      case XmlEventType::kText: return ItemType::kText;
-      case XmlEventType::kEndElement: return ItemType::kEnd;
-    }
-    return ItemType::kEnd;
-  }
-
-  ChildId IdOf(const XmlEvent& event) const {
-    return {options_.order.KeyForStartTag(event.name, event.attributes),
-            event.name};
-  }
-
-  std::string UpdateOp(const XmlEvent& event) const {
+  std::string_view UpdateOp(const XmlEvent& event) const {
     if (!options_.apply_update_ops) return {};
     const std::string* op = event.FindAttribute(options_.op_attribute);
-    return op != nullptr ? *op : std::string();
+    return op != nullptr ? std::string_view(*op) : std::string_view();
   }
 
-  // Emit a start tag with the union of both elements' attributes (left
-  // wins conflicts); the update-op attribute never reaches the output.
-  Status EmitMergedStart(const XmlEvent& a, const XmlEvent& b) {
-    std::vector<XmlAttribute> merged = a.attributes;
-    for (const XmlAttribute& attr : b.attributes) {
-      if (options_.apply_update_ops && attr.name == options_.op_attribute) {
-        continue;
-      }
-      bool present = false;
-      for (const XmlAttribute& existing : merged) {
-        if (existing.name == attr.name) {
-          present = true;
-          break;
+  Status AdvanceAll(const std::vector<size_t>& inputs) {
+    for (size_t i : inputs) RETURN_IF_ERROR(streams_[i].Advance());
+    return Status::OK();
+  }
+
+  // Start tag with the union of the matched start events' attributes: the
+  // earliest input's attributes all, then each later input's new names.
+  // The update-op attribute of the updates document never reaches the
+  // output.
+  Status EmitMergedStart(const std::vector<size_t>& matched) {
+    const XmlEvent& first = streams_[matched.front()].current();
+    std::vector<XmlAttribute> merged = first.attributes;
+    for (size_t m = 1; m < matched.size(); ++m) {
+      const XmlEvent& event = streams_[matched[m]].current();
+      for (const XmlAttribute& attr : event.attributes) {
+        if (options_.apply_update_ops && attr.name == options_.op_attribute) {
+          continue;
         }
+        bool present = std::any_of(merged.begin(), merged.end(),
+                                   [&](const XmlAttribute& existing) {
+                                     return existing.name == attr.name;
+                                   });
+        if (!present) merged.push_back(attr);
       }
-      if (!present) merged.push_back(attr);
     }
-    return writer_.StartElement(a.name, merged);
+    return writer_.StartElement(first.name, merged);
   }
 
   Status EmitStart(const XmlEvent& event) {
@@ -126,247 +123,88 @@ class Merger {
     return Status::OK();
   }
 
-  // Both streams positioned on the first item inside a matched element;
-  // merges until both hit the element's end, consuming the end events.
-  Status MergeChildren() {
-    bool left_had_text = false;
+  // The streams in `active` (ascending input indices) are positioned on
+  // the first item inside a matched element; merges until every one hits
+  // the element's end, consuming the end events.
+  Status MergeChildren(const std::vector<size_t>& active) {
+    const bool concat =
+        options_.text_policy == MergeOptions::TextPolicy::kConcat;
+    // Lowest input that has written text in this element so far.
+    size_t text_owner = streams_.size();
+    std::vector<std::optional<ChildId>> ids(active.size());
+    std::vector<size_t> matched;
     while (true) {
-      ItemType ta = Classify(*left_);
-      ItemType tb = Classify(*right_);
+      for (size_t i : active) {
+        EventStream& stream = streams_[i];
+        while (Classify(stream) == ItemType::kText) {
+          if (concat || i <= text_owner) {
+            RETURN_IF_ERROR(writer_.Text(stream.current().text));
+            text_owner = std::min(text_owner, i);
+          }
+          RETURN_IF_ERROR(stream.Advance());
+        }
+      }
 
-      if (ta == ItemType::kText) {
-        RETURN_IF_ERROR(writer_.Text(left_->current().text));
-        left_had_text = true;
-        RETURN_IF_ERROR(left_->Advance());
-        continue;
+      // Smallest current child across the streams.
+      const ChildId* min_id = nullptr;
+      for (size_t a = 0; a < active.size(); ++a) {
+        const EventStream& stream = streams_[active[a]];
+        ids[a].reset();
+        if (Classify(stream) != ItemType::kElement) continue;
+        ids[a] = IdOf(options_.order, stream.current());
+        if (min_id == nullptr || *ids[a] < *min_id) min_id = &*ids[a];
       }
-      if (tb == ItemType::kText) {
-        bool keep = options_.text_policy == MergeOptions::TextPolicy::kConcat ||
-                    !left_had_text;
-        if (keep) RETURN_IF_ERROR(writer_.Text(right_->current().text));
-        RETURN_IF_ERROR(right_->Advance());
-        continue;
-      }
-      if (ta == ItemType::kEnd && tb == ItemType::kEnd) {
-        if (!left_->done()) RETURN_IF_ERROR(left_->Advance());
-        if (!right_->done()) RETURN_IF_ERROR(right_->Advance());
+      if (min_id == nullptr) {
+        // Every stream is at the element's end: consume the end tags.
+        for (size_t i : active) {
+          if (!streams_[i].done()) RETURN_IF_ERROR(streams_[i].Advance());
+        }
         return Status::OK();
       }
-
-      bool take_left;
-      bool match = false;
-      if (ta == ItemType::kEnd) {
-        take_left = false;
-      } else if (tb == ItemType::kEnd) {
-        take_left = true;
-      } else {
-        ChildId ida = IdOf(left_->current());
-        ChildId idb = IdOf(right_->current());
-        if (ida == idb) {
-          match = true;
-          take_left = true;
-        } else {
-          take_left = ida < idb;
-        }
+      matched.clear();
+      for (size_t a = 0; a < active.size(); ++a) {
+        if (ids[a] && *ids[a] == *min_id) matched.push_back(active[a]);
       }
 
-      if (match) {
-        std::string op = UpdateOp(right_->current());
-        if (op == "delete") {
-          ++stats_->deleted;
-          RETURN_IF_ERROR(CopySubtree(left_, false));
-          RETURN_IF_ERROR(CopySubtree(right_, false));
-          continue;
-        }
-        if (op == "replace") {
-          ++stats_->replaced;
-          RETURN_IF_ERROR(CopySubtree(left_, false));
-          RETURN_IF_ERROR(CopySubtree(right_, true));
-          continue;
-        }
-        ++stats_->matched_elements;
-        RETURN_IF_ERROR(
-            EmitMergedStart(left_->current(), right_->current()));
-        RETURN_IF_ERROR(left_->Advance());
-        RETURN_IF_ERROR(right_->Advance());
-        RETURN_IF_ERROR(MergeChildren());
-        RETURN_IF_ERROR(writer_.EndElement());
-        continue;
-      }
-
-      if (take_left) {
-        ++stats_->left_only;
-        RETURN_IF_ERROR(CopySubtree(left_, true));
-      } else {
-        std::string op = UpdateOp(right_->current());
-        if (op == "delete") {
+      if (matched.size() == 1) {
+        EventStream& stream = streams_[matched.front()];
+        if (matched.front() == 0) {
+          ++stats_->left_only;
+          RETURN_IF_ERROR(CopySubtree(&stream, true));
+        } else if (UpdateOp(stream.current()) == "delete") {
           // Deleting something absent from the base: drop it silently.
           ++stats_->deleted;
-          RETURN_IF_ERROR(CopySubtree(right_, false));
+          RETURN_IF_ERROR(CopySubtree(&stream, false));
         } else {
           ++stats_->right_only;
-          RETURN_IF_ERROR(CopySubtree(right_, true));
+          RETURN_IF_ERROR(CopySubtree(&stream, true));
         }
-      }
-    }
-  }
-
-  EventStream* left_;
-  EventStream* right_;
-  XmlWriter writer_;
-  const MergeOptions& options_;
-  MergeStats* stats_;
-};
-
-// N-way merger: the same recursive child-matching discipline as the
-// two-way Merger, across any number of simultaneously scanned documents.
-class NWayMerger {
- public:
-  NWayMerger(std::vector<EventStream*> streams, ByteSink* output,
-             const MergeOptions& options, MergeStats* stats)
-      : streams_(std::move(streams)),
-        writer_(output),
-        options_(options),
-        stats_(stats) {}
-
-  Status Run() {
-    for (EventStream* stream : streams_) RETURN_IF_ERROR(stream->Advance());
-    const XmlEvent& first = streams_.front()->current();
-    for (EventStream* stream : streams_) {
-      if (stream->done() ||
-          stream->current().type != XmlEventType::kStartElement ||
-          stream->current().name != first.name) {
-        return Status::InvalidArgument("merge inputs must share a root tag");
-      }
-    }
-    RETURN_IF_ERROR(EmitUnionStart(streams_));
-    for (EventStream* stream : streams_) RETURN_IF_ERROR(stream->Advance());
-    RETURN_IF_ERROR(MergeChildren(streams_));
-    RETURN_IF_ERROR(writer_.EndElement());
-    return writer_.Finish();
-  }
-
- private:
-  enum class ItemType { kElement, kText, kEnd };
-
-  ItemType Classify(const EventStream& stream) const {
-    if (stream.done()) return ItemType::kEnd;
-    switch (stream.current().type) {
-      case XmlEventType::kStartElement: return ItemType::kElement;
-      case XmlEventType::kText: return ItemType::kText;
-      case XmlEventType::kEndElement: return ItemType::kEnd;
-    }
-    return ItemType::kEnd;
-  }
-
-  ChildId IdOf(const XmlEvent& event) const {
-    return {options_.order.KeyForStartTag(event.name, event.attributes),
-            event.name};
-  }
-
-  // Start tag with the union of the current start events' attributes,
-  // leftmost input winning conflicts.
-  Status EmitUnionStart(const std::vector<EventStream*>& matched) {
-    std::vector<XmlAttribute> merged;
-    for (EventStream* stream : matched) {
-      for (const XmlAttribute& attr : stream->current().attributes) {
-        bool present = false;
-        for (const XmlAttribute& existing : merged) {
-          if (existing.name == attr.name) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) merged.push_back(attr);
-      }
-    }
-    return writer_.StartElement(matched.front()->current().name, merged);
-  }
-
-  Status CopySubtree(EventStream* stream) {
-    int depth = 0;
-    do {
-      const XmlEvent& event = stream->current();
-      switch (event.type) {
-        case XmlEventType::kStartElement:
-          RETURN_IF_ERROR(writer_.StartElement(event.name, event.attributes));
-          ++depth;
-          break;
-        case XmlEventType::kEndElement:
-          RETURN_IF_ERROR(writer_.EndElement());
-          --depth;
-          break;
-        case XmlEventType::kText:
-          RETURN_IF_ERROR(writer_.Text(event.text));
-          break;
-      }
-      RETURN_IF_ERROR(stream->Advance());
-    } while (depth > 0);
-    return Status::OK();
-  }
-
-  // All streams in `active` positioned on the first item inside a matched
-  // element; merge until every one reaches the element's end.
-  Status MergeChildren(const std::vector<EventStream*>& active) {
-    bool had_text = false;
-    while (true) {
-      // Texts first, leftmost input priority.
-      bool emitted_text = false;
-      for (EventStream* stream : active) {
-        while (Classify(*stream) == ItemType::kText) {
-          bool keep =
-              options_.text_policy == MergeOptions::TextPolicy::kConcat ||
-              !had_text;
-          if (keep) {
-            RETURN_IF_ERROR(writer_.Text(stream->current().text));
-            had_text = true;
-          }
-          RETURN_IF_ERROR(stream->Advance());
-          emitted_text = true;
-        }
-      }
-      if (emitted_text) continue;  // texts may have exposed new items
-
-      // Smallest current child across all streams.
-      bool any_element = false;
-      ChildId min_id;
-      for (EventStream* stream : active) {
-        if (Classify(*stream) != ItemType::kElement) continue;
-        ChildId id = IdOf(stream->current());
-        if (!any_element || id < min_id) {
-          min_id = id;
-          any_element = true;
-        }
-      }
-      if (!any_element) {
-        // Every stream is at the element's end: consume the end tags.
-        for (EventStream* stream : active) {
-          if (!stream->done()) RETURN_IF_ERROR(stream->Advance());
-        }
-        return Status::OK();
+        continue;
       }
 
-      std::vector<EventStream*> matched;
-      for (EventStream* stream : active) {
-        if (Classify(*stream) == ItemType::kElement &&
-            IdOf(stream->current()) == min_id) {
-          matched.push_back(stream);
-        }
+      // In update mode `matched` is {base, updates}.
+      std::string_view op = UpdateOp(streams_[matched.back()].current());
+      if (op == "delete") {
+        ++stats_->deleted;
+        RETURN_IF_ERROR(CopySubtree(&streams_[0], false));
+        RETURN_IF_ERROR(CopySubtree(&streams_[1], false));
+        continue;
       }
-      if (matched.size() == 1) {
-        ++stats_->left_only;  // present in exactly one input
-        RETURN_IF_ERROR(CopySubtree(matched.front()));
+      if (op == "replace") {
+        ++stats_->replaced;
+        RETURN_IF_ERROR(CopySubtree(&streams_[0], false));
+        RETURN_IF_ERROR(CopySubtree(&streams_[1], true));
         continue;
       }
       ++stats_->matched_elements;
-      RETURN_IF_ERROR(EmitUnionStart(matched));
-      for (EventStream* stream : matched) RETURN_IF_ERROR(stream->Advance());
+      RETURN_IF_ERROR(EmitMergedStart(matched));
+      RETURN_IF_ERROR(AdvanceAll(matched));
       RETURN_IF_ERROR(MergeChildren(matched));
       RETURN_IF_ERROR(writer_.EndElement());
     }
   }
 
-  std::vector<EventStream*> streams_;
+  std::deque<EventStream> streams_;
   XmlWriter writer_;
   const MergeOptions& options_;
   MergeStats* stats_;
@@ -374,55 +212,24 @@ class NWayMerger {
 
 }  // namespace
 
-Status StructuralMergeMany(const std::vector<ByteSource*>& inputs,
-                           ByteSink* output, const MergeOptions& options,
-                           MergeStats* stats) {
+Status StructuralMerge(const std::vector<ByteSource*>& inputs,
+                       ByteSink* output, const MergeOptions& options,
+                       MergeStats* stats) {
   if (options.order.HasComplexRules()) {
     return Status::NotSupported(
         "structural merge needs keys available at start tags");
   }
-  if (options.apply_update_ops) {
-    return Status::NotSupported("update operations are two-input only");
+  if (options.apply_update_ops && inputs.size() != 2) {
+    return Status::NotSupported("update operations need exactly two inputs");
   }
   if (inputs.empty()) return Status::InvalidArgument("no merge inputs");
   MergeStats local;
-  std::vector<std::unique_ptr<EventStream>> owned;
-  std::vector<EventStream*> streams;
-  for (ByteSource* input : inputs) {
-    owned.push_back(std::make_unique<EventStream>(input));
-    streams.push_back(owned.back().get());
-  }
-  NWayMerger merger(std::move(streams), output, options,
-                    stats != nullptr ? stats : &local);
-  ScopedSpan span(options.tracer, "structural_merge_many");
-  Status status = merger.Run();
-  span.End();
-  if (options.tracer != nullptr) {
-    MergeStats& used = stats != nullptr ? *stats : local;
-    MetricsRegistry* metrics = options.tracer->metrics();
-    metrics->GetCounter("merge_matched_elements")->Add(used.matched_elements);
-    metrics->GetCounter("merge_left_only")->Add(used.left_only);
-    metrics->GetCounter("merge_right_only")->Add(used.right_only);
-  }
-  return status;
-}
-
-Status StructuralMerge(ByteSource* left, ByteSource* right, ByteSink* output,
-                       const MergeOptions& options, MergeStats* stats) {
-  if (options.order.HasComplexRules()) {
-    return Status::NotSupported(
-        "structural merge needs keys available at start tags");
-  }
-  MergeStats local;
-  EventStream left_stream(left);
-  EventStream right_stream(right);
-  Merger merger(&left_stream, &right_stream, output, options,
-                stats != nullptr ? stats : &local);
+  MergeStats& used = stats != nullptr ? *stats : local;
+  Merger merger(inputs, output, options, &used);
   ScopedSpan span(options.tracer, "structural_merge");
   Status status = merger.Run();
   span.End();
   if (options.tracer != nullptr) {
-    MergeStats& used = stats != nullptr ? *stats : local;
     MetricsRegistry* metrics = options.tracer->metrics();
     metrics->GetCounter("merge_matched_elements")->Add(used.matched_elements);
     metrics->GetCounter("merge_left_only")->Add(used.left_only);

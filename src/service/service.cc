@@ -383,7 +383,7 @@ Status SortService::ExecuteJob(JobRecord* record) {
       merge_options.order = record->order;
       merge_options.tracer = session.tracer();
       StringByteSink sink(&output);
-      result = StructuralMergeMany(raw, &sink, merge_options);
+      result = StructuralMerge(raw, &sink, merge_options);
       break;
     }
     case JobRequest::Kind::kBatchUpdate: {

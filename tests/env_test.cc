@@ -4,6 +4,9 @@
 // accounting and byte-identical results.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,6 +56,49 @@ TEST(SortEnvCreate, RejectsInvalidOptions) {
     options.cache = {.frames = 16, .readahead = 0};
     EXPECT_FALSE(SortEnv::Create(std::move(options)).ok());
   }
+}
+
+TEST(SortEnvCreate, StaleWorkFileIsUnlinkedNotTruncated) {
+  // A leftover work file is replaced by a fresh one; its old inode (seen
+  // here through a second hard link) keeps its bytes.
+  std::string path = ::testing::TempDir() + "/nexsort_stale.work";
+  std::string link = path + ".link";
+  std::remove(path.c_str());
+  std::remove(link.c_str());
+  const std::string old_bytes = "stale work file contents";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fwrite(old_bytes.data(), 1, old_bytes.size(), file);
+    std::fclose(file);
+  }
+  ASSERT_EQ(::link(path.c_str(), link.c_str()), 0);
+  {
+    auto env_or =
+        SortEnvBuilder().BlockSize(1024).MemoryBlocks(16).File(path).Build();
+    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
+    std::unique_ptr<SortEnv> env = std::move(env_or).value();
+    NexSortOptions options;
+    options.order = OrderSpec::ByAttribute("id");
+    NexSorter sorter(env.get(), options);
+    StringByteSource source("<r><a id=\"2\"/><a id=\"1\"/></r>");
+    std::string sorted;
+    StringByteSink sink(&sorted);
+    NEX_ASSERT_OK(sorter.Sort(&source, &sink));
+    EXPECT_EQ(sorted, "<r><a id=\"1\"></a><a id=\"2\"></a></r>");
+  }
+  std::string kept;
+  {
+    std::FILE* file = std::fopen(link.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    char buf[64];
+    size_t n = std::fread(buf, 1, sizeof(buf), file);
+    kept.assign(buf, n);
+    std::fclose(file);
+  }
+  EXPECT_EQ(kept, old_bytes);
+  std::remove(path.c_str());
+  std::remove(link.c_str());
 }
 
 TEST(SortEnvCreate, DefaultStackIsBareMemoryDevice) {

@@ -121,7 +121,7 @@ TEST(Failure, StructuralMergeRejectsComplexRules) {
   std::string out;
   StringByteSink sink(&out);
   EXPECT_TRUE(
-      StructuralMerge(&left, &right, &sink, options).IsNotSupported());
+      StructuralMerge({&left, &right}, &sink, options).IsNotSupported());
 }
 
 TEST(Failure, MergeRejectsMalformedInput) {
@@ -131,7 +131,7 @@ TEST(Failure, MergeRejectsMalformedInput) {
   StringByteSource right("<a/>");
   std::string out;
   StringByteSink sink(&out);
-  EXPECT_FALSE(StructuralMerge(&left, &right, &sink, options).ok());
+  EXPECT_FALSE(StructuralMerge({&left, &right}, &sink, options).ok());
 }
 
 TEST(Failure, HugeSingleElementDocument) {

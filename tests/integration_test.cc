@@ -93,7 +93,8 @@ TEST(Integration, SortMergeCheckChain) {
   std::string merged;
   StringByteSink sink(&merged);
   MergeStats stats;
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, merge_options, &stats));
+  NEX_ASSERT_OK(
+      StructuralMerge({&left, &right}, &sink, merge_options, &stats));
 
   auto report = CheckSorted(merged, spec);
   ASSERT_TRUE(report.ok());

@@ -74,7 +74,7 @@ TEST(StructuralMerge, ReproducesFigure1) {
   std::string merged;
   StringByteSink sink(&merged);
   MergeStats stats;
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options, &stats));
+  NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options, &stats));
 
   // The merged document at the bottom of Figure 1: regions AC, NE, NW in
   // name order; inside AC the branches Atlanta, Durham, Miami; inside
@@ -108,7 +108,7 @@ TEST(StructuralMerge, OutputStaysSorted) {
   StringByteSource right(d2);
   std::string merged;
   StringByteSink sink(&merged);
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+  NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
   EXPECT_EQ(merged, OracleSort(merged, spec));
 }
 
@@ -120,7 +120,7 @@ TEST(StructuralMerge, AttributeUnionLeftWins) {
   StringByteSource right("<r><x k=\"1\" a=\"R\" b=\"extra\"/></r>");
   std::string merged;
   StringByteSink sink(&merged);
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+  NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
   EXPECT_EQ(merged,
             "<r><x k=\"1\" a=\"L\" c=\"only\" b=\"extra\"></x></r>");
 }
@@ -134,7 +134,7 @@ TEST(StructuralMerge, TextPolicies) {
     StringByteSource right("<r><x k=\"1\">R</x></r>");
     std::string merged;
     StringByteSink sink(&merged);
-    NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+    NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
     EXPECT_EQ(merged, "<r><x k=\"1\">L</x></r>");
   }
   {
@@ -145,7 +145,7 @@ TEST(StructuralMerge, TextPolicies) {
     StringByteSource right("<r><x k=\"1\">R</x></r>");
     std::string merged;
     StringByteSink sink(&merged);
-    NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+    NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
     EXPECT_EQ(merged, "<r><x k=\"1\">LR</x></r>");
   }
 }
@@ -158,7 +158,7 @@ TEST(StructuralMerge, RightTextKeptWhenLeftHasNone) {
   StringByteSource right("<r><x k=\"1\">R</x></r>");
   std::string merged;
   StringByteSink sink(&merged);
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+  NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
   EXPECT_EQ(merged, "<r><x k=\"1\">R</x></r>");
 }
 
@@ -169,7 +169,7 @@ TEST(StructuralMerge, MismatchedRootsRejected) {
   StringByteSource right("<b/>");
   std::string merged;
   StringByteSink sink(&merged);
-  EXPECT_TRUE(StructuralMerge(&left, &right, &sink, options)
+  EXPECT_TRUE(StructuralMerge({&left, &right}, &sink, options)
                   .IsInvalidArgument());
 }
 
@@ -200,7 +200,7 @@ TEST(StructuralMerge, MergeOfSortedHalvesEqualsSortOfUnion) {
   StringByteSource right(right_sorted);
   std::string merged;
   StringByteSink sink(&merged);
-  NEX_ASSERT_OK(StructuralMerge(&left, &right, &sink, options));
+  NEX_ASSERT_OK(StructuralMerge({&left, &right}, &sink, options));
   EXPECT_EQ(merged, OracleSort(union_xml, spec));
 }
 

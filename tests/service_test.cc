@@ -680,7 +680,7 @@ TEST(SortService, MergeAndBatchUpdateJobsMatchDirectRuns) {
     StringByteSink sink(&direct_merged);
     MergeOptions merge_options;
     merge_options.order = *spec;
-    NEX_ASSERT_OK(StructuralMergeMany(sources, &sink, merge_options));
+    NEX_ASSERT_OK(StructuralMerge(sources, &sink, merge_options));
   }
   EXPECT_EQ(merged.value(), direct_merged);
 

@@ -2,7 +2,11 @@
 // ApplyBatchUpdates(base, StructuralDiff(base, target)) == target.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "merge/batch_update.h"
+#include "merge/event_stream.h"
 #include "merge/structural_diff.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -146,7 +150,7 @@ TEST(StructuralDiff, RoundTripOnRandomDocumentPairs) {
 }
 
 TEST(StructuralDiff, OversizedSubtreesRecurseStructurally) {
-  // A tiny buffer limit forces the splice/recursion path everywhere.
+  // A tiny buffer limit forces the unread/recursion path everywhere.
   OrderSpec spec = OrderSpec::ByAttribute("id", true);
   std::string base = Sort(
       "<r><g id=\"1\"><x id=\"1\"/><x id=\"2\"/><x id=\"3\"/></g>"
@@ -160,6 +164,116 @@ TEST(StructuralDiff, OversizedSubtreesRecurseStructurally) {
   std::string batch = Diff(base, target, spec, &stats, /*buffer_limit=*/8);
   EXPECT_GT(stats.descended, 0u);
   EXPECT_EQ(Apply(base, batch, spec), target);
+}
+
+TEST(StructuralDiff, NestedOversizedSubtreesRoundTrip) {
+  // Three levels of matched elements over a small buffer: every level
+  // unreads its probed prefix in front of a prefix unread by the level
+  // above, and the diff must still apply back to the target.
+  OrderSpec spec = OrderSpec::ByAttribute("id", true);
+  nexsort::Random rng(99);
+  for (int round = 0; round < 20; ++round) {
+    std::string base_xml = "<r>";
+    std::string target_xml = "<r>";
+    for (int g = 0; g < 3; ++g) {
+      std::string open_g = "<g id=\"" + std::to_string(g) + "\">";
+      base_xml += open_g;
+      target_xml += open_g;
+      for (int h = 0; h < 3; ++h) {
+        std::string open_h = "<h id=\"" + std::to_string(h) + "\">";
+        base_xml += open_h;
+        target_xml += open_h;
+        for (int x = 0; x < 4; ++x) {
+          std::string leaf = "<x id=\"" + std::to_string(x) + "\" v=\"" +
+                             rng.Identifier(2) + "\"/>";
+          uint64_t fate = rng.Uniform(5);
+          if (fate != 0) base_xml += leaf;  // 0 => inserted
+          if (fate == 1) {
+            target_xml += "<x id=\"" + std::to_string(x) + "\" v=\"new\"/>";
+          } else if (fate != 2) {  // 2 => deleted
+            target_xml += leaf;
+          }
+        }
+        base_xml += "</h>";
+        target_xml += "</h>";
+      }
+      base_xml += "</g>";
+      target_xml += "</g>";
+    }
+    base_xml += "</r>";
+    target_xml += "</r>";
+    std::string base = Sort(base_xml, spec);
+    std::string target = Sort(target_xml, spec);
+    for (size_t limit : {8u, 40u, 200u}) {
+      DiffStats stats;
+      std::string batch = Diff(base, target, spec, &stats, limit);
+      EXPECT_EQ(Apply(base, batch, spec), target)
+          << "round " << round << ", buffer " << limit;
+      if (limit == 8) {
+        EXPECT_GE(stats.descended, 12u);  // every g and h
+      }
+    }
+  }
+}
+
+TEST(StructuralDiff, EventStreamUnreadsNest) {
+  // Unread events replay in stream order before the parser resumes; an
+  // unread issued while earlier unread events are pending goes in front
+  // of them.
+  const std::string doc = "<r><a>t</a><b/><c><d/></c></r>";
+  auto trace = [](merge_internal::EventStream* stream,
+                  std::vector<XmlEvent>* events) {
+    while (true) {
+      NEX_ASSERT_OK(stream->Advance());
+      if (stream->done()) return;
+      events->push_back(stream->current());
+    }
+  };
+  std::vector<XmlEvent> expected;
+  {
+    StringByteSource source(doc);
+    merge_internal::EventStream stream(&source);
+    trace(&stream, &expected);
+  }
+  ASSERT_EQ(expected.size(), 11u);
+
+  auto same = [](const std::vector<XmlEvent>& a,
+                 const std::vector<XmlEvent>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].type != b[i].type || a[i].name != b[i].name ||
+          a[i].text != b[i].text) {
+        return false;
+      }
+    }
+    return true;
+  };
+  StringByteSource source(doc);
+  merge_internal::EventStream stream(&source);
+  std::vector<XmlEvent> outer;  // <r> <a> t </a> <b>
+  for (int i = 0; i < 5; ++i) {
+    NEX_ASSERT_OK(stream.Advance());
+    outer.push_back(stream.current());
+  }
+  NEX_ASSERT_OK(stream.Advance());  // </b>, then push <r>..<b> back
+  stream.Unread(outer);
+  std::vector<XmlEvent> inner;  // <r> <a> t, read back from the unread
+  for (int i = 0; i < 3; ++i) {
+    inner.push_back(stream.current());
+    NEX_ASSERT_OK(stream.Advance());
+  }
+  stream.Unread(inner);
+  std::vector<XmlEvent> replayed = {stream.current()};
+  trace(&stream, &replayed);
+  EXPECT_TRUE(same(replayed, expected));
+
+  // Unreading at the end of the document makes the stream live again.
+  std::vector<XmlEvent> tail(expected.end() - 2, expected.end());
+  stream.Unread(tail);
+  EXPECT_FALSE(stream.done());
+  std::vector<XmlEvent> replayed_tail = {stream.current()};
+  trace(&stream, &replayed_tail);
+  EXPECT_TRUE(same(replayed_tail, tail));
 }
 
 TEST(StructuralDiff, BatchIsItselfSorted) {
