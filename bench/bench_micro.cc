@@ -172,11 +172,12 @@ void BM_UnitSerialize(benchmark::State& state) {
   for (auto _ : state) {
     buf.clear();
     AppendUnit(&buf, unit, format, &dictionary);
-    std::string_view view = buf;
-    ElementUnit back;
-    // Parsing bytes AppendUnit just produced cannot fail.
-    (void)ParseUnit(&view, &back, format, &dictionary);
+    // The view decoder the subtree sorts and the output DFS use; decoding
+    // bytes AppendUnit just produced cannot fail.
+    UnitView back;
+    (void)DecodeUnit(buf, format, &dictionary, &back);
     benchmark::DoNotOptimize(back.seq);
+    benchmark::DoNotOptimize(back.key.data());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -81,77 +81,184 @@ void AppendUnit(std::string* dst, const ElementUnit& unit,
 
 namespace {
 
-Status ParseName(std::string_view* input, const UnitFormat& format,
-                 const NameDictionary* dictionary, std::string* name) {
-  if (format.use_dictionary) {
-    uint32_t id = 0;
-    RETURN_IF_ERROR(GetVarint32(input, &id));
-    ASSIGN_OR_RETURN(std::string_view resolved, dictionary->Lookup(id));
-    name->assign(resolved);
-  } else {
-    std::string_view raw;
-    RETURN_IF_ERROR(GetLengthPrefixed(input, &raw));
-    name->assign(raw);
+// Bounds-checked cursor over encoded unit bytes. A read that fails returns
+// false and records in `result` whether the bytes ran out (truncated) or
+// can never form a unit (malformed).
+class UnitCursor {
+ public:
+  explicit UnitCursor(std::string_view input)
+      : p_(input.data()), end_(input.data() + input.size()) {}
+
+  DecodeResult result = DecodeResult::kOk;
+
+  const char* position() const { return p_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+  bool Fail(DecodeResult why) {
+    result = why;
+    return false;
   }
-  return Status::OK();
-}
+
+  // Same encoding and limits as GetVarint64: at most ten bytes.
+  bool Varint(uint64_t* value) {
+    uint64_t decoded = 0;
+    for (int shift = 0; shift <= 63; shift += 7) {
+      if (p_ == end_) return Fail(DecodeResult::kTruncated);
+      unsigned char byte = static_cast<unsigned char>(*p_++);
+      decoded |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        *value = decoded;
+        return true;
+      }
+    }
+    return Fail(DecodeResult::kMalformed);
+  }
+
+  bool Varint32(uint32_t* value) {
+    uint64_t decoded = 0;
+    if (!Varint(&decoded)) return false;
+    if (decoded > UINT32_MAX) return Fail(DecodeResult::kMalformed);
+    *value = static_cast<uint32_t>(decoded);
+    return true;
+  }
+
+  bool LengthPrefixed(std::string_view* value) {
+    uint64_t length = 0;
+    if (!Varint(&length)) return false;
+    if (length > remaining()) return Fail(DecodeResult::kTruncated);
+    *value = std::string_view(p_, length);
+    p_ += length;
+    return true;
+  }
+
+  // A name: a dictionary id checked against `dictionary`, or an inline
+  // string.
+  bool Name(const NameDictionary* dictionary, uint32_t* id,
+            std::string_view* name) {
+    if (dictionary == nullptr) return LengthPrefixed(name);
+    if (!Varint32(id)) return false;
+    if (*id >= dictionary->size()) return Fail(DecodeResult::kMalformed);
+    return true;
+  }
+
+ private:
+  const char* p_;
+  const char* const end_;
+};
 
 }  // namespace
 
-Status ParseUnit(std::string_view* input, ElementUnit* unit,
-                 const UnitFormat& format, const NameDictionary* dictionary) {
-  if (input->empty()) return Status::Corruption("empty unit");
-  uint8_t type_byte = static_cast<uint8_t>(input->front());
-  input->remove_prefix(1);
-  if (type_byte < 1 || type_byte > 5) {
-    return Status::Corruption("bad unit type " + std::to_string(type_byte));
+DecodeResult DecodeUnit(std::string_view input, const UnitFormat& format,
+                        const NameDictionary* dictionary, UnitView* unit) {
+  if (input.empty()) return DecodeResult::kTruncated;
+  uint8_t type_byte = static_cast<uint8_t>(input.front());
+  if (type_byte < 1 || type_byte > 5) return DecodeResult::kMalformed;
+  const NameDictionary* names = format.use_dictionary ? dictionary : nullptr;
+  if (format.use_dictionary && names == nullptr) {
+    return DecodeResult::kMalformed;
   }
+  UnitCursor in(input.substr(1));
   unit->type = static_cast<UnitType>(type_byte);
-  unit->key.clear();
-  unit->name.clear();
-  unit->attributes.clear();
-  unit->text.clear();
+  unit->key = {};
+  unit->text = {};
   unit->run = RunHandle();
-  RETURN_IF_ERROR(GetVarint32(input, &unit->level));
-  RETURN_IF_ERROR(GetVarint64(input, &unit->seq));
-  std::string_view view;
+  unit->dictionary_ = names;
+  unit->name_id_ = 0;
+  unit->name_ = {};
+  unit->attributes_ = {};
+  unit->attribute_count_ = 0;
+  if (!in.Varint32(&unit->level) || !in.Varint(&unit->seq)) return in.result;
   switch (unit->type) {
     case UnitType::kStart: {
-      RETURN_IF_ERROR(ParseName(input, format, dictionary, &unit->name));
-      uint64_t attr_count = 0;
-      RETURN_IF_ERROR(GetVarint64(input, &attr_count));
-      if (attr_count > input->size()) {
-        return Status::Corruption("implausible attribute count");
+      if (!in.Name(names, &unit->name_id_, &unit->name_)) return in.result;
+      uint64_t count = 0;
+      if (!in.Varint(&count)) return in.result;
+      // Every attribute takes at least two bytes.
+      if (count > in.remaining()) return DecodeResult::kTruncated;
+      const char* attributes = in.position();
+      uint32_t id = 0;
+      std::string_view name;
+      std::string_view value;
+      for (uint64_t i = 0; i < count; ++i) {
+        if (!in.Name(names, &id, &name) || !in.LengthPrefixed(&value)) {
+          return in.result;
+        }
       }
-      unit->attributes.resize(attr_count);
-      for (XmlAttribute& attr : unit->attributes) {
-        RETURN_IF_ERROR(ParseName(input, format, dictionary, &attr.name));
-        RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-        attr.value.assign(view);
-      }
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
+      unit->attributes_ = std::string_view(
+          attributes, static_cast<size_t>(in.position() - attributes));
+      unit->attribute_count_ = count;
+      if (!in.LengthPrefixed(&unit->key)) return in.result;
       break;
     }
     case UnitType::kText:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->text.assign(view);
+      if (!in.LengthPrefixed(&unit->text)) return in.result;
       break;
     case UnitType::kEnd:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
+      if (!in.LengthPrefixed(&unit->key)) return in.result;
       break;
     case UnitType::kPointer:
-      RETURN_IF_ERROR(GetLengthPrefixed(input, &view));
-      unit->key.assign(view);
-      RETURN_IF_ERROR(GetVarint32(input, &unit->run.id));
-      RETURN_IF_ERROR(GetVarint64(input, &unit->run.byte_size));
+      if (!in.LengthPrefixed(&unit->key) || !in.Varint32(&unit->run.id) ||
+          !in.Varint(&unit->run.byte_size)) {
+        return in.result;
+      }
       break;
     case UnitType::kFragment:
-      RETURN_IF_ERROR(GetVarint32(input, &unit->run.id));
-      RETURN_IF_ERROR(GetVarint64(input, &unit->run.byte_size));
+      if (!in.Varint32(&unit->run.id) || !in.Varint(&unit->run.byte_size)) {
+        return in.result;
+      }
       break;
   }
+  unit->bytes = input.substr(
+      0, static_cast<size_t>(in.position() - input.data()));
+  return DecodeResult::kOk;
+}
+
+bool UnitView::AttributeIterator::Next(AttributeView* attribute) {
+  if (remaining_ == 0) return false;
+  --remaining_;
+  UnitCursor in(rest_);
+  uint32_t id = 0;
+  // Both reads were validated by DecodeUnit.
+  in.Name(dictionary_, &id, &attribute->name);
+  in.LengthPrefixed(&attribute->value);
+  if (dictionary_ != nullptr) attribute->name = dictionary_->NameAt(id);
+  rest_.remove_prefix(static_cast<size_t>(in.position() - rest_.data()));
+  return true;
+}
+
+Status NextUnit(std::string_view* input, const UnitFormat& format,
+                const NameDictionary* dictionary, UnitView* unit) {
+  switch (DecodeUnit(*input, format, dictionary, unit)) {
+    case DecodeResult::kOk:
+      input->remove_prefix(unit->bytes.size());
+      return Status::OK();
+    case DecodeResult::kTruncated:
+      return Status::Corruption("truncated unit");
+    case DecodeResult::kMalformed:
+      break;
+  }
+  return Status::Corruption("malformed unit");
+}
+
+Status ParseUnit(std::string_view* input, ElementUnit* unit,
+                 const UnitFormat& format, const NameDictionary* dictionary) {
+  UnitView view;
+  RETURN_IF_ERROR(NextUnit(input, format, dictionary, &view));
+  unit->type = view.type;
+  unit->level = view.level;
+  unit->seq = view.seq;
+  unit->key.assign(view.key);
+  unit->name.assign(view.type == UnitType::kStart ? view.name()
+                                                  : std::string_view());
+  unit->attributes.clear();
+  UnitView::AttributeIterator attributes = view.attributes();
+  AttributeView attribute;
+  while (attributes.Next(&attribute)) {
+    unit->attributes.push_back(
+        {std::string(attribute.name), std::string(attribute.value)});
+  }
+  unit->text.assign(view.text);
+  unit->run = view.run;
   return Status::OK();
 }
 
@@ -167,25 +274,30 @@ RunUnitReader::RunUnitReader(RunStore* store, RunHandle handle,
   init_status_ = reader_.init_status();
 }
 
-StatusOr<bool> RunUnitReader::Next(ElementUnit* unit) {
-  // Refill so that either a whole unit is buffered or the run is drained.
-  // Units written by this library are far smaller than one refill chunk, so
-  // a parse failure with bytes still available means "need more", and a
-  // failure at true end of run means corruption.
+StatusOr<bool> RunUnitReader::Next(UnitView* unit) {
+  // Refill until a whole unit is buffered or the run is drained. Only a
+  // unit that runs past the buffered bytes waits for more: a malformed one
+  // fails here, before the rest of the run is read.
   constexpr size_t kRefill = 4096;
   while (true) {
     std::string_view view(buffer_.data() + buffer_pos_,
                           buffer_.size() - buffer_pos_);
     if (!view.empty()) {
-      std::string_view cursor = view;
-      Status st = ParseUnit(&cursor, unit, format_, dictionary_);
-      if (st.ok()) {
-        size_t consumed = view.size() - cursor.size();
-        buffer_pos_ += consumed;
-        logical_offset_ += consumed;
-        return true;
+      switch (DecodeUnit(view, format_, dictionary_, unit)) {
+        case DecodeResult::kOk:
+          buffer_pos_ += unit->bytes.size();
+          logical_offset_ += unit->bytes.size();
+          return true;
+        case DecodeResult::kMalformed:
+          return Status::Corruption("malformed unit in run " +
+                                    std::to_string(handle_.id));
+        case DecodeResult::kTruncated:
+          if (reader_.bytes_remaining() == 0) {
+            return Status::Corruption("run " + std::to_string(handle_.id) +
+                                      " ends inside a unit");
+          }
+          break;
       }
-      if (reader_.bytes_remaining() == 0) return st;
     } else if (reader_.bytes_remaining() == 0) {
       return false;
     }

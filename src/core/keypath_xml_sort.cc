@@ -81,23 +81,25 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
           path.resize(rel == 0 ? 0 : path_ends[rel - 1]);
           path_ends.resize(rel);
         }
-        std::string composite = path;
+        // path holds the ancestors' components; the unit's own is appended
+        // in place and cut off again unless the unit opens an element.
         // Below the sorting depth, an empty key leaves document order (the
         // sequence number) in charge.
         bool sortable =
             owner->options_.depth_limit == 0 ||
             unit.level <=
                 static_cast<uint32_t>(owner->options_.depth_limit) + 1;
-        AppendKeyPathComponent(&composite, sortable ? unit.key : "",
-                               unit.seq);
-        if (event.kind == ScanEvent::Kind::kStart) {
-          path = composite;
-          path_ends.push_back(path.size());
-        }
+        size_t ancestors = path.size();
+        AppendKeyPathComponent(&path, sortable ? unit.key : "", unit.seq);
         serialized.clear();
         AppendUnit(&serialized, unit, owner->format_, &owner->dictionary_);
-        owner->stats_.key_path_bytes += composite.size();
-        RETURN_IF_ERROR(sorter_->Add(composite, serialized));
+        owner->stats_.key_path_bytes += path.size();
+        RETURN_IF_ERROR(sorter_->Add(path, serialized));
+        if (event.kind == ScanEvent::Kind::kStart) {
+          path_ends.push_back(path.size());
+        } else {
+          path.resize(ancestors);
+        }
       }
     }
     owner->stats_.scan = scanner.stats();
@@ -151,10 +153,11 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
       merge_done_ = true;
       return Status::OK();
     }
-    std::string_view view = value_;
-    RETURN_IF_ERROR(ParseUnit(&view, &unit_, owner_->format_,
-                              &owner_->dictionary_));
-    return emitter_->Emit(unit_);
+    std::string_view bytes = value_;
+    UnitView unit;
+    RETURN_IF_ERROR(
+        NextUnit(&bytes, owner_->format_, &owner_->dictionary_, &unit));
+    return emitter_->Emit(unit);
   }
 
   /// The tail of the eager Sort(): close the emitter, record stats, publish
@@ -186,7 +189,6 @@ class KeyPathXmlSorter::OutputStream final : public SortedStream {
   std::unique_ptr<UnitXmlEmitter> emitter_;
   std::string key_;
   std::string value_;
-  ElementUnit unit_;
   Status status_;
   bool merge_done_ = false;  // final merge exhausted
   bool completed_ = false;   // completion work done

@@ -125,7 +125,7 @@ Status NexSorter::SortRegion(ExtByteStack* data, const PathEntry& entry,
     tracer_->metrics()->GetHistogram("subtree_region_bytes")
         ->Record(region_size);
   }
-  ElementUnit root_unit;
+  std::string root_key;
   // Regions holding fragment pointers must sort in memory (fragments merge
   // against the in-memory forest); fragmentation has already capped their
   // size near the capacity.
@@ -133,20 +133,21 @@ Status NexSorter::SortRegion(ExtByteStack* data, const PathEntry& entry,
   if (region_size <= sort_capacity_ || force_internal) {
     std::string region;
     RETURN_IF_ERROR(data->PopRegion(entry.start_offset, &region));
-    ASSIGN_OR_RETURN(*run, SortSubtreeInMemory(sort_context_, region,
-                                               &root_unit, &stats_.sorts));
+    ASSIGN_OR_RETURN(*run,
+                     SortSubtreeInMemory(sort_context_, region, &index_,
+                                         &root_key, &stats_.sorts));
   } else {
     // Stream the oversized region straight off the data stack into the
     // key-path external merge sort: no extra temp-run round trip.
     ExternalSubtreeSorter external(sort_context_, &stats_.sorts);
     RETURN_IF_ERROR(external.init_status());
     RETURN_IF_ERROR(data->PopRegionTo(entry.start_offset, external.sink()));
-    ASSIGN_OR_RETURN(*run, external.Finish(&root_unit));
+    ASSIGN_OR_RETURN(*run, external.Finish(&root_key));
   }
   pointer->type = UnitType::kPointer;
   pointer->level = level;
   pointer->seq = seq;
-  pointer->key = resolved_key.empty() ? root_unit.key
+  pointer->key = resolved_key.empty() ? std::move(root_key)
                                       : std::string(resolved_key);
   pointer->name.clear();
   pointer->attributes.clear();
@@ -173,8 +174,8 @@ Status NexSorter::MaybeFragment(ExtByteStack* data,
   std::string forest;
   RETURN_IF_ERROR(data->PopRegion(from, &forest));
   RunHandle fragment;
-  ASSIGN_OR_RETURN(fragment,
-                   SortForestInMemory(sort_context_, forest, &stats_.sorts));
+  ASSIGN_OR_RETURN(fragment, SortForestInMemory(sort_context_, forest,
+                                                &index_, &stats_.sorts));
   ++stats_.fragment_runs;
   TraceRunEvent(tracer_, RunEventKind::kFragment,
                 IoCategory::kRunWrite, fragment.byte_size, fragment.id);
@@ -386,7 +387,9 @@ class NexSorter::OutputStream final : public SortedStream {
   /// runs and resuming parents as the traversal dictates.
   [[nodiscard]] Status Step() {
     RETURN_IF_ERROR(CheckCancelled(owner_->sort_context_.cancel));
-    ElementUnit unit;
+    // The view points into reader_'s buffer: use it before the reader is
+    // replaced or advanced.
+    UnitView unit;
     ASSIGN_OR_RETURN(bool more, reader_->Next(&unit));
     if (!more) {
       if (locations_->empty()) {
@@ -414,9 +417,10 @@ class NexSorter::OutputStream final : public SortedStream {
       loc.run_bytes = reader_->handle().byte_size;
       loc.offset = reader_->offset();
       RETURN_IF_ERROR(locations_->Push(loc));
+      const RunHandle child = unit.run;
       reader_.reset();
-      AdviseRun(unit.run);
-      reader_ = std::make_unique<RunUnitReader>(owner_->store_, unit.run, 0,
+      AdviseRun(child);
+      reader_ = std::make_unique<RunUnitReader>(owner_->store_, child, 0,
                                                 owner_->format_,
                                                 &owner_->dictionary_);
       return reader_->init_status();

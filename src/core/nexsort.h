@@ -197,6 +197,7 @@ class NexSorter {
   NameDictionary dictionary_;
   UnitFormat format_;
   SubtreeSortContext sort_context_;
+  SpanForest index_;  // the in-memory sorts' record index, reused
 
   uint64_t threshold_ = 0;       // t in bytes
   uint64_t sort_capacity_ = 0;   // max region bytes sorted internally

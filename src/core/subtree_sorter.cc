@@ -11,138 +11,18 @@
 #include "extmem/stream.h"
 #include "sort/external_merge_sort.h"
 #include "sort/key_path.h"
+#include "util/varint.h"
 
 namespace nexsort {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// In-memory tree representation of a parsed unit sequence.
-// ---------------------------------------------------------------------
-
-struct ParsedForest {
-  std::vector<ElementUnit> nodes;
-  std::vector<std::vector<int>> children;
-  std::vector<int> roots;                 // top-level nodes, document order
-  std::vector<RunHandle> fragments;       // kFragment units found at top level
-  uint32_t top_level = 0;                 // level of the roots
-};
-
-// Parse `units` into a forest. kEnd units donate their keys to the matching
-// start and are dropped. kFragment units may only appear at the top level.
-Status ParseForest(const SubtreeSortContext& ctx, std::string_view units,
-                   ParsedForest* forest) {
-  std::vector<int> stack;  // indices of open kStart nodes
-  bool first = true;
-  while (!units.empty()) {
-    ElementUnit unit;
-    RETURN_IF_ERROR(ParseUnit(&units, &unit, ctx.format, ctx.dictionary));
-    if (first) {
-      forest->top_level = unit.level;
-      first = false;
-    }
-    if (unit.type == UnitType::kEnd) {
-      while (!stack.empty() &&
-             forest->nodes[stack.back()].level > unit.level) {
-        stack.pop_back();
-      }
-      if (!stack.empty() &&
-          forest->nodes[stack.back()].level == unit.level) {
-        if (!unit.key.empty()) forest->nodes[stack.back()].key = unit.key;
-        stack.pop_back();
-      }
-      continue;
-    }
-    while (!stack.empty() && forest->nodes[stack.back()].level >= unit.level) {
-      stack.pop_back();
-    }
-    if (unit.type == UnitType::kFragment) {
-      // Fragments are children of the element they were created under: the
-      // region root in a subtree sort (stack = [root]) or the enclosing open
-      // element in a forest sort (stack empty).
-      if (stack.size() > 1 ||
-          (stack.size() == 1 && stack[0] != forest->roots.front())) {
-        return Status::Corruption("fragment unit below the top level");
-      }
-      forest->fragments.push_back(unit.run);
-      continue;
-    }
-    int index = static_cast<int>(forest->nodes.size());
-    bool is_start = unit.type == UnitType::kStart;
-    forest->nodes.push_back(std::move(unit));
-    forest->children.emplace_back();
-    if (stack.empty()) {
-      forest->roots.push_back(index);
-    } else {
-      forest->children[stack.back()].push_back(index);
-    }
-    if (is_start) stack.push_back(index);
-  }
-  return Status::OK();
-}
-
-bool TagInScope(const SubtreeSortContext& ctx, const std::string& tag) {
+bool TagInScope(const SubtreeSortContext& ctx, std::string_view tag) {
   if (ctx.scope_tags == nullptr || ctx.scope_tags->empty()) return true;
   for (const std::string& scoped : *ctx.scope_tags) {
     if (scoped == tag) return true;
   }
   return false;
-}
-
-// Sort every children list reachable in the forest, honouring depth_limit
-// (children of an element at level L are sorted iff L <= depth_limit, or no
-// limit) and the XSort-style tag scope. Root lists in a *forest* belong to
-// the enclosing open element at top_level - 1.
-void SortForestLists(const SubtreeSortContext& ctx, ParsedForest* forest,
-                     bool sort_roots) {
-  auto by_key = [forest](int a, int b) {
-    const ElementUnit& ua = forest->nodes[a];
-    const ElementUnit& ub = forest->nodes[b];
-    return KeySeqLess(ua.key, ua.seq, ub.key, ub.seq);
-  };
-  if (sort_roots) {
-    uint32_t parent_level = forest->top_level - 1;
-    if (ctx.depth_limit == 0 ||
-        parent_level <= static_cast<uint32_t>(ctx.depth_limit)) {
-      std::stable_sort(forest->roots.begin(), forest->roots.end(), by_key);
-    }
-  }
-  for (size_t i = 0; i < forest->nodes.size(); ++i) {
-    if (forest->children[i].empty()) continue;
-    uint32_t level = forest->nodes[i].level;
-    if (ctx.depth_limit != 0 &&
-        level > static_cast<uint32_t>(ctx.depth_limit)) {
-      continue;  // below the sorting depth: keep document order
-    }
-    if (!TagInScope(ctx, forest->nodes[i].name)) continue;
-    std::stable_sort(forest->children[i].begin(), forest->children[i].end(),
-                     by_key);
-  }
-}
-
-// Serialize node `root_index` and its subtree depth-first into *out.
-// Iterative so pathological chain documents cannot overflow the C++ stack.
-void SerializeSubtree(const SubtreeSortContext& ctx,
-                      const ParsedForest& forest, int root_index,
-                      std::string* out) {
-  struct Frame {
-    int node;
-    size_t next_child;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root_index, 0});
-  AppendUnit(out, forest.nodes[root_index], ctx.format, ctx.dictionary);
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const auto& child_list = forest.children[frame.node];
-    if (frame.next_child >= child_list.size()) {
-      stack.pop_back();
-      continue;
-    }
-    int child = child_list[frame.next_child++];
-    AppendUnit(out, forest.nodes[child], ctx.format, ctx.dictionary);
-    stack.push_back({child, 0});
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -163,41 +43,33 @@ class SubtreeStream {
   virtual Status CopySubtree(ByteSink* out) = 0;
 };
 
-// Stream over the in-memory sorted forest.
+// Stream over sorted sibling subtrees of the in-memory forest.
 class MemoryForestStream final : public SubtreeStream {
  public:
-  MemoryForestStream(const SubtreeSortContext& ctx, const ParsedForest& forest)
-      : ctx_(ctx), forest_(forest) {}
+  MemoryForestStream(SpanForest* forest, std::vector<uint32_t> siblings)
+      : forest_(forest), siblings_(std::move(siblings)) {}
 
-  bool exhausted() const override {
-    return cursor_ >= forest_.roots.size();
-  }
+  bool exhausted() const override { return cursor_ >= siblings_.size(); }
   std::string_view key() const override {
-    return forest_.nodes[forest_.roots[cursor_]].key;
+    return forest_->key(siblings_[cursor_]);
   }
-  uint64_t seq() const override {
-    return forest_.nodes[forest_.roots[cursor_]].seq;
-  }
+  uint64_t seq() const override { return forest_->seq(siblings_[cursor_]); }
   Status CopySubtree(ByteSink* out) override {
-    scratch_.clear();
-    SerializeSubtree(ctx_, forest_, forest_.roots[cursor_], &scratch_);
-    ++cursor_;
-    return out->Append(scratch_);
+    return forest_->AppendSubtree(siblings_[cursor_++], out);
   }
 
  private:
-  const SubtreeSortContext& ctx_;
-  const ParsedForest& forest_;
+  SpanForest* forest_;
+  const std::vector<uint32_t> siblings_;
   size_t cursor_ = 0;
-  std::string scratch_;
 };
 
-// Stream over an incomplete sorted run on disk.
+// Stream over an incomplete sorted run on disk. Units are copied as the
+// bytes the run holds, decoded only for their level, key and seq.
 class FragmentStream final : public SubtreeStream {
  public:
   FragmentStream(const SubtreeSortContext& ctx, RunHandle handle)
-      : ctx_(ctx),
-        reader_(ctx.store, handle, 0, ctx.format, ctx.dictionary) {}
+      : reader_(ctx.store, handle, 0, ctx.format, ctx.dictionary) {}
 
   Status Open() {
     RETURN_IF_ERROR(reader_.init_status());
@@ -213,9 +85,9 @@ class FragmentStream final : public SubtreeStream {
 
   Status CopySubtree(ByteSink* out) override {
     // Emit units until the next unit at the top level (the next sibling
-    // root) or end of run.
-    scratch_.clear();
-    AppendUnit(&scratch_, pending_, ctx_.format, ctx_.dictionary);
+    // root) or end of run. pending_ views the reader's buffer, so its
+    // bytes are copied before the reader moves on.
+    scratch_.assign(pending_.bytes);
     while (true) {
       ASSIGN_OR_RETURN(bool more, reader_.Next(&pending_));
       if (!more) {
@@ -223,7 +95,7 @@ class FragmentStream final : public SubtreeStream {
         break;
       }
       if (pending_.level <= top_level_) break;  // next sibling
-      AppendUnit(&scratch_, pending_, ctx_.format, ctx_.dictionary);
+      scratch_.append(pending_.bytes);
       if (scratch_.size() >= 64 * 1024) {
         RETURN_IF_ERROR(out->Append(scratch_));
         scratch_.clear();
@@ -233,9 +105,8 @@ class FragmentStream final : public SubtreeStream {
   }
 
  private:
-  const SubtreeSortContext& ctx_;
   RunUnitReader reader_;
-  ElementUnit pending_;
+  UnitView pending_;
   uint32_t top_level_ = 0;
   bool exhausted_ = false;
   std::string scratch_;
@@ -323,6 +194,166 @@ Status MergeFragments(const SubtreeSortContext& ctx,
 
 }  // namespace
 
+// ---------------------------------------------------------------------
+// SpanForest: the popped region as flat span records.
+// ---------------------------------------------------------------------
+
+Status SpanForest::Build(const SubtreeSortContext& ctx,
+                         std::string_view units) {
+  records_.clear();
+  parents_.clear();
+  roots_.clear();
+  open_.clear();
+  fragments_.clear();
+  bool first = true;
+  UnitView unit;
+  while (!units.empty()) {
+    RETURN_IF_ERROR(NextUnit(&units, ctx.format, ctx.dictionary, &unit));
+    if (first) {
+      top_level_ = unit.level;
+      first = false;
+    }
+    if (unit.type == UnitType::kEnd) {
+      while (!open_.empty() && records_[open_.back()].level > unit.level) {
+        open_.pop_back();
+      }
+      if (!open_.empty() && records_[open_.back()].level == unit.level) {
+        Record& start = records_[open_.back()];
+        if (!unit.key.empty() && unit.key != start.key) {
+          // Keep the bytes before the old key's length prefix; the new key
+          // is encoded after them when the record is copied.
+          size_t key_at =
+              static_cast<size_t>(start.key.data() - start.bytes.data());
+          start.bytes =
+              start.bytes.substr(0, key_at - VarintLength(start.key.size()));
+          start.key = unit.key;
+          start.rekeyed = true;
+        }
+        open_.pop_back();
+      }
+      continue;
+    }
+    while (!open_.empty() && records_[open_.back()].level >= unit.level) {
+      open_.pop_back();
+    }
+    if (unit.type == UnitType::kFragment) {
+      // Fragments are children of the element they were created under: the
+      // region root in a subtree sort (open = [root]) or the enclosing open
+      // element in a forest sort (open empty).
+      if (open_.size() > 1 || (open_.size() == 1 && open_[0] != roots_[0])) {
+        return Status::Corruption("fragment unit below the top level");
+      }
+      fragments_.push_back(unit.run);
+      continue;
+    }
+    if (records_.size() == kNone) {
+      return Status::NotSupported("subtree region has too many units");
+    }
+    uint32_t index = static_cast<uint32_t>(records_.size());
+    // Children of an element at level L are sorted iff L is within the
+    // depth limit and the tag is in the XSort-style scope.
+    bool sort_children =
+        unit.type == UnitType::kStart &&
+        (ctx.depth_limit == 0 ||
+         unit.level <= static_cast<uint32_t>(ctx.depth_limit)) &&
+        TagInScope(ctx, unit.name());
+    records_.push_back({unit.bytes, unit.key, unit.seq, unit.level, unit.type,
+                        false, sort_children});
+    if (open_.empty()) {
+      roots_.push_back(index);
+      parents_.push_back(kNone);
+    } else {
+      parents_.push_back(open_.back());
+    }
+    if (unit.type == UnitType::kStart) open_.push_back(index);
+  }
+  // Children as one array of index ranges (records are in document order,
+  // so each range starts out in document order).
+  child_begin_.assign(records_.size() + 1, 0);
+  for (uint32_t parent : parents_) {
+    if (parent != kNone) ++child_begin_[parent + 1];
+  }
+  for (size_t i = 1; i < child_begin_.size(); ++i) {
+    child_begin_[i] += child_begin_[i - 1];
+  }
+  children_.resize(child_begin_.back());
+  fill_.assign(child_begin_.begin(), child_begin_.end() - 1);
+  for (uint32_t i = 0; i < parents_.size(); ++i) {
+    if (parents_[i] != kNone) children_[fill_[parents_[i]]++] = i;
+  }
+  return Status::OK();
+}
+
+void SpanForest::SortLists(const SubtreeSortContext& ctx, bool sort_roots) {
+  if (sort_roots) {
+    uint32_t parent_level = top_level_ - 1;
+    if (ctx.depth_limit == 0 ||
+        parent_level <= static_cast<uint32_t>(ctx.depth_limit)) {
+      SortRange(roots_.data(), roots_.data() + roots_.size());
+    }
+  }
+  for (size_t i = 0; i < records_.size(); ++i) {
+    if (!records_[i].sort_children) continue;
+    SortRange(children_.data() + child_begin_[i],
+              children_.data() + child_begin_[i + 1]);
+  }
+}
+
+// std::stable_sort, with an allocation-free insertion sort for the short
+// lists that dominate bushy trees (both give the one stable order).
+void SpanForest::SortRange(uint32_t* begin, uint32_t* end) {
+  if (end - begin < 2) return;
+  auto less = [this](uint32_t a, uint32_t b) {
+    const Record& ra = records_[a];
+    const Record& rb = records_[b];
+    return KeySeqLess(ra.key, ra.seq, rb.key, rb.seq);
+  };
+  if (end - begin > 16) {
+    std::stable_sort(begin, end, less);
+    return;
+  }
+  for (uint32_t* i = begin + 1; i < end; ++i) {
+    uint32_t moving = *i;
+    uint32_t* j = i;
+    for (; j > begin && less(moving, *(j - 1)); --j) *j = *(j - 1);
+    *j = moving;
+  }
+}
+
+// Iterative so pathological chain documents cannot overflow the C++ stack.
+Status SpanForest::AppendSubtree(uint32_t node, ByteSink* out) {
+  RETURN_IF_ERROR(AppendNode(node, out));
+  struct Frame {
+    uint32_t next;
+    uint32_t end;
+  };
+  std::vector<Frame> stack;
+  stack.push_back({child_begin_[node], child_begin_[node + 1]});
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next == frame.end) {
+      stack.pop_back();
+      continue;
+    }
+    uint32_t child = children_[frame.next++];
+    RETURN_IF_ERROR(AppendNode(child, out));
+    if (child_begin_[child] != child_begin_[child + 1]) {
+      stack.push_back({child_begin_[child], child_begin_[child + 1]});
+    }
+  }
+  return Status::OK();
+}
+
+// A rekeyed start unit holds only the bytes before its old key (the key is
+// a start unit's last field), so the new key is appended after them.
+Status SpanForest::AppendNode(uint32_t node, ByteSink* out) {
+  const Record& record = records_[node];
+  if (!record.rekeyed) return out->Append(record.bytes);
+  scratch_.assign(record.bytes);
+  PutLengthPrefixed(&scratch_, record.key);
+  return out->Append(scratch_);
+}
+
 // Charge the budget for a region held in memory during an internal sort,
 // so peak-use accounting reflects what is actually resident. Best-effort:
 // a region can legitimately exceed what the ledger can express by a little
@@ -341,26 +372,28 @@ Status ReserveRegion(const SubtreeSortContext& ctx, size_t bytes,
 
 StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
                                         std::string_view units,
-                                        ElementUnit* root_out,
+                                        SpanForest* index,
+                                        std::string* root_key,
                                         SubtreeSortStats* stats) {
   ++stats->internal_sorts;
   stats->largest_subtree_bytes =
       std::max<uint64_t>(stats->largest_subtree_bytes, units.size());
-  // Charge the budget for the region while it is parsed and sorted (the
+  // Charge the budget for the region while it is indexed and sorted (the
   // memory-dominant phase); the write/merge phase that follows charges its
   // own writer and reader blocks instead.
   BudgetReservation region_reservation;
   RETURN_IF_ERROR(ReserveRegion(ctx, units.size(), &region_reservation));
-  ParsedForest forest;
-  RETURN_IF_ERROR(ParseForest(ctx, units, &forest));
-  if (forest.roots.size() != 1) {
+  SpanForest& forest = *index;
+  RETURN_IF_ERROR(forest.Build(ctx, units));
+  if (forest.roots().size() != 1) {
     return Status::Corruption("subtree region does not have a single root");
   }
-  if (forest.nodes[forest.roots[0]].type != UnitType::kStart) {
+  const uint32_t root = forest.roots()[0];
+  if (forest.type(root) != UnitType::kStart) {
     return Status::Corruption("subtree root is not a start unit");
   }
-  SortForestLists(ctx, &forest, /*sort_roots=*/false);
-  *root_out = forest.nodes[forest.roots[0]];
+  forest.SortLists(ctx, /*sort_roots=*/false);
+  root_key->assign(forest.key(root));
   region_reservation.Reset();
 
   // This run is re-read by the output DFS long after later subtree sorts
@@ -368,25 +401,14 @@ StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
   RunWriter writer = ctx.store->NewRun(IoCategory::kRunWrite,
                                       PlacementHint::kSequentialOutput);
   RETURN_IF_ERROR(writer.init_status());
-  if (forest.fragments.empty()) {
-    std::string buffer;
-    SerializeSubtree(ctx, forest, forest.roots[0], &buffer);
-    RETURN_IF_ERROR(writer.Append(buffer));
+  if (forest.fragments().empty()) {
+    RETURN_IF_ERROR(forest.AppendSubtree(root, &writer));
   } else {
     // Fragments are forests of the root's children: emit the root start
     // unit, then merge the in-memory children with the fragment streams.
-    std::string root_unit;
-    AppendUnit(&root_unit, forest.nodes[forest.roots[0]], ctx.format,
-               ctx.dictionary);
-    RETURN_IF_ERROR(writer.Append(root_unit));
-    // Re-parent: the memory stream iterates the root's (sorted) children.
-    ParsedForest child_forest;
-    child_forest.nodes = std::move(forest.nodes);
-    child_forest.children = std::move(forest.children);
-    child_forest.roots = child_forest.children[forest.roots[0]];
-    child_forest.top_level = forest.top_level + 1;
-    MemoryForestStream memory_stream(ctx, child_forest);
-    RETURN_IF_ERROR(MergeFragments(ctx, std::move(forest.fragments),
+    RETURN_IF_ERROR(forest.AppendNode(root, &writer));
+    MemoryForestStream memory_stream(&forest, forest.ChildrenOf(root));
+    RETURN_IF_ERROR(MergeFragments(ctx, std::move(forest.fragments()),
                                    &memory_stream, &writer, stats));
   }
   RunHandle handle;
@@ -396,27 +418,24 @@ StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
 
 StatusOr<RunHandle> SortForestInMemory(const SubtreeSortContext& ctx,
                                        std::string_view units,
+                                       SpanForest* index,
                                        SubtreeSortStats* stats) {
   stats->largest_subtree_bytes =
       std::max<uint64_t>(stats->largest_subtree_bytes, units.size());
   BudgetReservation region_reservation;
   RETURN_IF_ERROR(ReserveRegion(ctx, units.size(), &region_reservation));
-  ParsedForest forest;
-  RETURN_IF_ERROR(ParseForest(ctx, units, &forest));
-  if (!forest.fragments.empty()) {
+  SpanForest& forest = *index;
+  RETURN_IF_ERROR(forest.Build(ctx, units));
+  if (!forest.fragments().empty()) {
     return Status::Corruption("nested fragments in forest sort");
   }
-  SortForestLists(ctx, &forest, /*sort_roots=*/true);
+  forest.SortLists(ctx, /*sort_roots=*/true);
   region_reservation.Reset();
 
   RunWriter writer = ctx.store->NewRun();
   RETURN_IF_ERROR(writer.init_status());
-  std::string buffer;
-  for (int root : forest.roots) {
-    buffer.clear();
-    SerializeSubtree(ctx, forest, root, &buffer);
-    RETURN_IF_ERROR(writer.Append(buffer));
-    if (buffer.size() > 256 * 1024) buffer.shrink_to_fit();
+  for (uint32_t root : forest.roots()) {
+    RETURN_IF_ERROR(forest.AppendSubtree(root, &writer));
   }
   RunHandle handle;
   RETURN_IF_ERROR(writer.Finish(&handle));
@@ -448,30 +467,36 @@ const Status& ExternalSubtreeSorter::init_status() const { return status_; }
 Status ExternalSubtreeSorter::UnitSink::Append(std::string_view data) {
   ExternalSubtreeSorter* owner = owner_;
   if (!owner->status_.ok()) return owner->status_;
-  owner->pending_.append(data);
-  // Parse as many complete units as the buffer holds; a parse failure with
-  // a short buffer means "wait for more bytes" (our own writer produced
-  // this stream, so genuine corruption only surfaces at Finish).
-  std::string_view view = owner->pending_;
-  size_t consumed = 0;
-  ElementUnit unit;
-  while (!view.empty()) {
-    std::string_view cursor = view;
-    Status st = ParseUnit(&cursor, &unit, owner->ctx_.format,
-                          owner->ctx_.dictionary);
-    if (!st.ok()) break;
-    std::string_view serialized = view.substr(0, view.size() - cursor.size());
-    RETURN_IF_ERROR(owner->FeedUnit(unit, serialized));
-    consumed += serialized.size();
-    view = cursor;
+  // Feed every complete unit; a unit cut off by the end of `data` waits in
+  // pending_ for the next Append, and a malformed one fails at once.
+  std::string_view view = data;
+  if (!owner->pending_.empty()) {
+    owner->pending_.append(data);
+    view = owner->pending_;
   }
-  owner->pending_.erase(0, consumed);
+  UnitView unit;
+  while (!view.empty()) {
+    DecodeResult result =
+        DecodeUnit(view, owner->ctx_.format, owner->ctx_.dictionary, &unit);
+    if (result == DecodeResult::kTruncated) break;
+    if (result == DecodeResult::kMalformed) {
+      owner->status_ = Status::Corruption("malformed unit in subtree stream");
+      return owner->status_;
+    }
+    RETURN_IF_ERROR(owner->FeedUnit(unit));
+    view.remove_prefix(unit.bytes.size());
+  }
+  // `view` is a suffix of pending_ or of `data`; keep only it.
+  if (owner->pending_.empty()) {
+    owner->pending_.assign(view);
+  } else {
+    owner->pending_.erase(0, owner->pending_.size() - view.size());
+  }
   return Status::OK();
 }
 
-Status ExternalSubtreeSorter::FeedUnit(const ElementUnit& unit,
-                                       std::string_view serialized) {
-  bytes_fed_ += serialized.size();
+Status ExternalSubtreeSorter::FeedUnit(const UnitView& unit) {
+  bytes_fed_ += unit.bytes.size();
   if (unit.type == UnitType::kEnd) return Status::OK();  // levels suffice
   if (unit.type == UnitType::kFragment) {
     return Status::NotSupported(
@@ -482,38 +507,40 @@ Status ExternalSubtreeSorter::FeedUnit(const ElementUnit& unit,
       return Status::Corruption("subtree root is not a start unit");
     }
     root_level_ = unit.level;
-    root_ = unit;
+    root_key_.assign(unit.key);
     have_root_ = true;
   }
   // Key path: the (key, seq) components of the unit's open ancestors
-  // within the subtree, root first, plus its own.
+  // within the subtree, root first, plus its own. path_ holds the
+  // ancestors' components; the unit's own is appended in place and cut
+  // off again unless the unit opens an element.
   uint32_t rel = unit.level - root_level_;  // 0 for the root itself
   if (rel < path_ends_.size()) {
     path_.resize(rel == 0 ? 0 : path_ends_[rel - 1]);
     path_ends_.resize(rel);
-    open_names_.resize(rel);
+    sorts_children_.resize(rel);
   }
   // A unit is reordered among its siblings only when its parent's list is
   // sorted at all: the parent must be within the depth limit and (for
   // XSort-style scoped sorting) have an in-scope tag. Otherwise encode an
   // empty key so the sequence number alone — document order — rules.
-  bool parent_sorted =
-      rel == 0 ||
-      ((ctx_.depth_limit == 0 ||
-        unit.level - 1 <= static_cast<uint32_t>(ctx_.depth_limit)) &&
-       TagInScope(ctx_, open_names_.back()));
-  std::string composite = path_;
-  AppendKeyPathComponent(&composite, parent_sorted ? unit.key : "",
-                         unit.seq);
+  bool parent_sorted = rel == 0 || sorts_children_.back();
+  size_t ancestors = path_.size();
+  AppendKeyPathComponent(&path_, parent_sorted ? unit.key : "", unit.seq);
+  RETURN_IF_ERROR(sorter_->Add(path_, unit.bytes));
   if (unit.type == UnitType::kStart) {
-    path_ = composite;
     path_ends_.push_back(path_.size());
-    open_names_.push_back(unit.name);
+    sorts_children_.push_back(
+        (ctx_.depth_limit == 0 ||
+         unit.level <= static_cast<uint32_t>(ctx_.depth_limit)) &&
+        TagInScope(ctx_, unit.name()));
+  } else {
+    path_.resize(ancestors);
   }
-  return sorter_->Add(composite, serialized);
+  return Status::OK();
 }
 
-StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {
+StatusOr<RunHandle> ExternalSubtreeSorter::Finish(std::string* root_key) {
   RETURN_IF_ERROR(status_);
   if (!pending_.empty()) {
     return Status::Corruption("trailing partial unit in subtree stream");
@@ -522,7 +549,7 @@ StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {
   ++stats_->external_sorts;
   stats_->largest_subtree_bytes =
       std::max<uint64_t>(stats_->largest_subtree_bytes, bytes_fed_);
-  *root_out = root_;
+  *root_key = root_key_;
   RETURN_IF_ERROR(sorter_->Finish());
 
   // Like the in-memory path's output run: the DFS re-reads this later, so
@@ -547,7 +574,7 @@ StatusOr<RunHandle> ExternalSubtreeSorter::Finish(ElementUnit* root_out) {
 
 StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
                                         RunHandle input,
-                                        ElementUnit* root_out,
+                                        std::string* root_key,
                                         SubtreeSortStats* stats) {
   // Convenience wrapper over the streaming sorter for callers whose units
   // already live in a run (tests; NEXSORT itself streams straight off the
@@ -568,7 +595,7 @@ StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
     }
   }
   RETURN_IF_ERROR(ctx.store->FreeRun(input));
-  return external.Finish(root_out);
+  return external.Finish(root_key);
 }
 
 }  // namespace nexsort

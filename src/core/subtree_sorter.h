@@ -78,15 +78,91 @@ struct SubtreeSortStats {
   MergePlanStats merge_plan;
 };
 
+/// The in-memory sorts' index over a region of encoded units (SNIPPETS.md
+/// snippet 2, "sort small fixed records rather than fat objects"): one
+/// flat record per kept unit — key view, seq, level and the unit's byte
+/// span in the region — with each sibling list a range of record indices.
+/// Sorting permutes indices, and a sorted subtree is written by copying
+/// spans depth-first; only a start unit whose key arrived on its end unit
+/// is re-encoded. Records view the region, which must outlive their use.
+///
+/// One index serves every region of a job: Build keeps its buffers'
+/// capacity, so a region costs no allocation. Allocating them per region
+/// let the allocator return the memory to the kernel between sorts and
+/// fault it in again for the next one.
+class SpanForest {
+ public:
+  /// Index `units`, replacing the previous index. kEnd units donate their
+  /// keys to the matching start and are dropped; kFragment units may only
+  /// appear at the top level, and are collected into fragments().
+  [[nodiscard]] Status Build(const SubtreeSortContext& ctx,
+                             std::string_view units);
+
+  /// Stable-sort every sibling list by (key, seq): the children of an
+  /// element within the depth limit and the tag scope, and with
+  /// `sort_roots` the top-level list, which in a forest belongs to the
+  /// enclosing open element at one level up.
+  void SortLists(const SubtreeSortContext& ctx, bool sort_roots);
+
+  /// Append record `node` and its subtree, depth-first, to `out`.
+  [[nodiscard]] Status AppendSubtree(uint32_t node, ByteSink* out);
+
+  /// Append record `node` alone to `out`.
+  [[nodiscard]] Status AppendNode(uint32_t node, ByteSink* out);
+
+  /// Top-level records, in sorted order once sorted; a subtree has one.
+  const std::vector<uint32_t>& roots() const { return roots_; }
+
+  /// Children of `node`, in sorted order once sorted.
+  std::vector<uint32_t> ChildrenOf(uint32_t node) const {
+    return std::vector<uint32_t>(children_.begin() + child_begin_[node],
+                                 children_.begin() + child_begin_[node + 1]);
+  }
+
+  std::vector<RunHandle>& fragments() { return fragments_; }
+  std::string_view key(uint32_t node) const { return records_[node].key; }
+  uint64_t seq(uint32_t node) const { return records_[node].seq; }
+  UnitType type(uint32_t node) const { return records_[node].type; }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Record {
+    std::string_view bytes;  // the encoded unit in the region; for a
+                             // rekeyed start, the bytes before its key
+    std::string_view key;    // sort key (from its end unit if rekeyed)
+    uint64_t seq;
+    uint32_t level;
+    UnitType type;
+    bool rekeyed;        // a kStart whose key arrived on its kEnd unit
+    bool sort_children;  // its list of children gets sorted
+  };
+
+  void SortRange(uint32_t* begin, uint32_t* end);
+
+  std::vector<Record> records_;
+  std::vector<uint32_t> parents_;      // per record; kNone for a root
+  std::vector<uint32_t> roots_;
+  std::vector<uint32_t> child_begin_;  // children of i: [begin[i], begin[i+1])
+  std::vector<uint32_t> children_;
+  std::vector<uint32_t> open_;         // Build: open kStart records
+  std::vector<uint32_t> fill_;         // Build: next free child slot
+  std::vector<RunHandle> fragments_;
+  uint32_t top_level_ = 0;
+  std::string scratch_;  // a rekeyed start unit, re-encoded
+};
+
 /// Sort a complete subtree whose serialized units are in memory. `units`
 /// must start with the root's kStart unit; it may contain kPointer units
 /// (already-collapsed descendants), kFragment units (incomplete sorted runs
 /// that must be direct children of the root), and kEnd units (dropped after
 /// harvesting complex-criteria keys). Writes the fully sorted subtree as a
-/// new run; *root_out receives the parsed root start unit.
+/// new run; *root_key receives the root's sort key. `index` is the job's
+/// SpanForest, rebuilt over `units`.
 [[nodiscard]] StatusOr<RunHandle> SortSubtreeInMemory(const SubtreeSortContext& ctx,
                                         std::string_view units,
-                                        ElementUnit* root_out,
+                                        SpanForest* index,
+                                        std::string* root_key,
                                         SubtreeSortStats* stats);
 
 /// Same contract for a subtree too large for memory: units live in run
@@ -95,7 +171,7 @@ struct SubtreeSortStats {
 /// path (see DESIGN.md).
 [[nodiscard]] StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
                                         RunHandle input,
-                                        ElementUnit* root_out,
+                                        std::string* root_key,
                                         SubtreeSortStats* stats);
 
 /// Streaming external subtree sort: serialized units are pushed through
@@ -113,9 +189,9 @@ class ExternalSubtreeSorter {
   /// Sink accepting the subtree's serialized unit bytes in document order.
   ByteSink* sink() { return &sink_; }
 
-  /// Run the merge passes and write the sorted run. *root_out receives the
-  /// parsed root start unit.
-  [[nodiscard]] StatusOr<RunHandle> Finish(ElementUnit* root_out);
+  /// Run the merge passes and write the sorted run. *root_key receives the
+  /// root's sort key.
+  [[nodiscard]] StatusOr<RunHandle> Finish(std::string* root_key);
 
  private:
   class UnitSink final : public ByteSink {
@@ -127,7 +203,9 @@ class ExternalSubtreeSorter {
     ExternalSubtreeSorter* owner_;
   };
 
-  [[nodiscard]] Status FeedUnit(const ElementUnit& unit, std::string_view serialized);
+  /// Add one decoded unit, its bytes as the record value, under its key
+  /// path.
+  [[nodiscard]] Status FeedUnit(const UnitView& unit);
 
   const SubtreeSortContext& ctx_;
   SubtreeSortStats* stats_;
@@ -137,11 +215,11 @@ class ExternalSubtreeSorter {
 
   std::string pending_;               // partial unit bytes across Appends
   std::vector<size_t> path_ends_;     // key-path prefix length per ancestor
-  std::vector<std::string> open_names_;  // tags of open ancestors
-  std::string path_;
+  std::vector<bool> sorts_children_;  // per open ancestor: list is sorted
+  std::string path_;                  // the open ancestors' components
   uint32_t root_level_ = 0;
   bool have_root_ = false;
-  ElementUnit root_;
+  std::string root_key_;
   uint64_t bytes_fed_ = 0;
 };
 
@@ -152,6 +230,7 @@ class ExternalSubtreeSorter {
 /// merged at the element's eventual subtree sort).
 [[nodiscard]] StatusOr<RunHandle> SortForestInMemory(const SubtreeSortContext& ctx,
                                        std::string_view units,
+                                       SpanForest* index,
                                        SubtreeSortStats* stats);
 
 }  // namespace nexsort

@@ -46,7 +46,7 @@ Status UnitXmlEmitter::CloseTo(uint32_t level) {
   return Status::OK();
 }
 
-Status UnitXmlEmitter::Emit(const ElementUnit& unit) {
+Status UnitXmlEmitter::Emit(const UnitView& unit) {
   switch (unit.type) {
     case UnitType::kStart: {
       RETURN_IF_ERROR(CloseTo(unit.level));
@@ -59,9 +59,12 @@ Status UnitXmlEmitter::Emit(const ElementUnit& unit) {
         }
       }
       if (options_.pretty) Indent(unit.level);
+      const std::string_view name = unit.name();
       buffer_.push_back('<');
-      buffer_.append(unit.name);
-      for (const XmlAttribute& attr : unit.attributes) {
+      buffer_.append(name);
+      UnitView::AttributeIterator attributes = unit.attributes();
+      AttributeView attr;
+      while (attributes.Next(&attr)) {
         buffer_.push_back(' ');
         buffer_.append(attr.name);
         buffer_.append("=\"");
@@ -71,7 +74,9 @@ Status UnitXmlEmitter::Emit(const ElementUnit& unit) {
       buffer_.push_back('>');
       wrote_anything_ = true;
       OpenTag tag;
-      tag.name_id = dictionary_->Intern(unit.name);
+      tag.name_id = unit.dictionary() == dictionary_
+                        ? unit.name_id()
+                        : dictionary_->Intern(name);
       tag.level = unit.level;
       RETURN_IF_ERROR(tags_.Push(tag));
       break;

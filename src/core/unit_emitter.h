@@ -5,7 +5,8 @@
 // l2 <= l1 closes l1 - l2 + 1 elements. The open-tag bookkeeping lives on an
 // external stack, mirroring the paper's "structure similar to the path
 // stack" for the output phase. Shared by NEXSORT's output phase and the
-// key-path merge-sort baseline.
+// key-path merge-sort baseline. An open tag is kept as its dictionary id:
+// the unit's own id in the dictionary format, an interned one otherwise.
 #pragma once
 
 #include <string>
@@ -33,7 +34,9 @@ class UnitEmitter {
 
   /// Emit one unit (kStart or kText; kEnd units are ignored since levels
   /// already carry the structure). Units must arrive in depth-first order.
-  [[nodiscard]] virtual Status Emit(const ElementUnit& unit) = 0;
+  /// The view is decoded in place from a run buffer and valid only for the
+  /// call: an emitter copies out what it keeps.
+  [[nodiscard]] virtual Status Emit(const UnitView& unit) = 0;
 
   /// Close everything still open and flush. Must be called exactly once.
   [[nodiscard]] virtual Status Finish() = 0;
@@ -49,7 +52,7 @@ class UnitXmlEmitter final : public UnitEmitter {
 
   const Status& init_status() const override { return tags_.init_status(); }
 
-  [[nodiscard]] Status Emit(const ElementUnit& unit) override;
+  [[nodiscard]] Status Emit(const UnitView& unit) override;
 
   [[nodiscard]] Status Finish() override;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/order_spec.h"
@@ -260,11 +261,11 @@ class JsonUnitEmitter final : public UnitEmitter {
 
   const Status& init_status() const override { return open_.init_status(); }
 
-  Status Emit(const ElementUnit& unit) override {
+  Status Emit(const UnitView& unit) override {
     if (unit.type == UnitType::kEnd) return Status::OK();
-    if (unit.type != UnitType::kStart || unit.name.size() != 1) {
-      return Status::Corruption("not a JSON value unit");
-    }
+    const std::string_view name =
+        unit.type == UnitType::kStart ? unit.name() : std::string_view();
+    if (name.size() != 1) return Status::Corruption("not a JSON value unit");
     RETURN_IF_ERROR(CloseTo(unit.level));
     if (!open_.empty()) {
       OpenContainer parent;
@@ -276,16 +277,18 @@ class JsonUnitEmitter final : public UnitEmitter {
         RETURN_IF_ERROR(open_.ReplaceTop(parent));
       }
     }
-    const std::string* value = nullptr;
-    for (const XmlAttribute& attr : unit.attributes) {
+    std::optional<std::string_view> value;
+    UnitView::AttributeIterator attributes = unit.attributes();
+    AttributeView attr;
+    while (attributes.Next(&attr)) {
       if (attr.name == kNameAttribute) {
         JsonWriter::AppendEscaped(&buffer_, attr.value);
         buffer_.push_back(':');
       } else if (attr.name == kValueAttribute) {
-        value = &attr.value;
+        value = attr.value;
       }
     }
-    const char tag = unit.name[0];
+    const char tag = name[0];
     switch (tag) {
       case kObjectTag[0]:
       case kArrayTag[0]: {
@@ -302,7 +305,7 @@ class JsonUnitEmitter final : public UnitEmitter {
       case kStringTag[0]:
       case kNumberTag[0]:
       case kBoolTag[0]:
-        if (value == nullptr) {
+        if (!value) {
           return Status::Corruption("JSON scalar unit without a value");
         }
         if (tag == kStringTag[0]) {
@@ -312,7 +315,7 @@ class JsonUnitEmitter final : public UnitEmitter {
         }
         break;
       default:
-        return Status::Corruption("unknown JSON unit: " + unit.name);
+        return Status::Corruption("unknown JSON unit: " + std::string(name));
     }
     return FlushIfLarge();
   }

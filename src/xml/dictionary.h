@@ -26,6 +26,10 @@ class NameDictionary {
   /// Name for `id`; Corruption if out of range.
   [[nodiscard]] StatusOr<std::string_view> Lookup(uint32_t id) const;
 
+  /// Name for an id known to be in range (id < size()), such as one a
+  /// unit decoder has already checked.
+  std::string_view NameAt(uint32_t id) const { return names_[id]; }
+
   size_t size() const { return names_.size(); }
 
   /// Approximate heap footprint, for memory accounting reports.

@@ -1,5 +1,7 @@
 #include "xml/escape.h"
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -8,16 +10,33 @@ namespace nexsort {
 
 namespace {
 
+// Byte classes for escaping: bit kText marks bytes special in element
+// content, bit kAttribute those special in attribute values ('"' is
+// special only there).
+constexpr uint8_t kText = 1;
+constexpr uint8_t kAttribute = 2;
+
+constexpr std::array<uint8_t, 256> MakeEscapeClasses() {
+  std::array<uint8_t, 256> classes{};
+  classes['&'] = kText | kAttribute;
+  classes['<'] = kText | kAttribute;
+  classes['>'] = kText | kAttribute;
+  classes['"'] = kAttribute;
+  return classes;
+}
+constexpr std::array<uint8_t, 256> kEscapeClasses = MakeEscapeClasses();
+
 // Append `text`, copying whole runs between special characters and
-// replacing each special character with its entity. '"' is special only in
-// attribute values.
+// replacing each special character with its entity. One table lookup per
+// byte finds the end of a run.
 void AppendEscaped(std::string* out, std::string_view text, bool attribute) {
+  const uint8_t special = attribute ? kAttribute : kText;
   const char* p = text.data();
   const char* const end = p + text.size();
   while (true) {
     const char* run = p;
-    while (p < end && *p != '&' && *p != '<' && *p != '>' &&
-           (!attribute || *p != '"')) {
+    while (p < end &&
+           (kEscapeClasses[static_cast<unsigned char>(*p)] & special) == 0) {
       ++p;
     }
     out->append(run, p);

@@ -15,19 +15,23 @@ namespace nexsort {
 namespace testing {
 namespace {
 
-// gtest lists each case with a byte dump of its SweepParam. height is 8
-// bytes wide so no padding follows it: as an int it left four bytes of
-// garbage near the front of the dump, which changed the listed test names
-// from run to run.
+// gtest lists each case with a byte dump of its SweepParam, and ctest's
+// test names include that dump. Every field is 8 bytes wide so the struct
+// has no padding and the dump no indeterminate bytes: as an int, height
+// left four bytes of garbage near the front of the dump, and as a bool,
+// graceful left seven before seed; both changed the listed test names from
+// build to build.
 struct SweepParam {
   uint64_t height;
   uint64_t max_fanout;
   size_t block_size;
   uint64_t memory_blocks;
   uint64_t threshold;  // 0 = default 2B
-  bool graceful;
+  uint64_t graceful;   // 0 or 1
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 7 * sizeof(uint64_t),
+              "SweepParam must stay free of padding bytes");
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   const SweepParam& p = info.param;
@@ -65,7 +69,7 @@ TEST_P(NexSortSweep, MatchesOracleAndPreservesStructure) {
   NexSortOptions options;
   options.order = OrderSpec::ByAttribute("id", /*numeric=*/true);
   options.sort_threshold = p.threshold;
-  options.graceful_degeneration = p.graceful;
+  options.graceful_degeneration = p.graceful != 0;
 
   Env env(p.block_size, p.memory_blocks);
   NexSorter sorter(env.get(), options);

@@ -28,8 +28,20 @@ ElementUnit Text(uint32_t level, std::string_view text) {
   return unit;
 }
 
+// Encode `unit`, then emit the view decoded from the bytes, as the output
+// DFS does.
+Status EmitEncoded(UnitEmitter* emitter, const ElementUnit& unit,
+                   const UnitFormat& format, NameDictionary* dictionary) {
+  std::string bytes;
+  AppendUnit(&bytes, unit, format, dictionary);
+  std::string_view rest = bytes;
+  UnitView view;
+  RETURN_IF_ERROR(NextUnit(&rest, format, dictionary, &view));
+  return emitter->Emit(view);
+}
+
 std::string Emit(const std::vector<ElementUnit>& units,
-                 size_t block_size = 1024) {
+                 size_t block_size = 1024, UnitFormat format = {}) {
   Env env(block_size, 8);
   NameDictionary dictionary;
   std::string out;
@@ -37,7 +49,7 @@ std::string Emit(const std::vector<ElementUnit>& units,
   UnitXmlEmitter emitter(env.device(), env.budget(), &dictionary, &sink);
   EXPECT_TRUE(emitter.init_status().ok());
   for (const ElementUnit& unit : units) {
-    Status st = emitter.Emit(unit);
+    Status st = EmitEncoded(&emitter, unit, format, &dictionary);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   EXPECT_TRUE(emitter.Finish().ok());
@@ -64,6 +76,15 @@ TEST(UnitEmitter, ClosesMultipleLevelsAtOnce) {
 TEST(UnitEmitter, EscapesAttributesAndText) {
   EXPECT_EQ(Emit({Start(1, "a", {{"k", "x<\">"}}), Text(2, "1 < 2 & 3")}),
             "<a k=\"x&lt;&quot;&gt;\">1 &lt; 2 &amp; 3</a>");
+}
+
+TEST(UnitEmitter, VerbatimNamesMatchDictionaryNames) {
+  std::vector<ElementUnit> units = {Start(1, "r", {{"k", "v"}}),
+                                    Start(2, "a"), Text(3, "x"),
+                                    Start(2, "b", {{"id", "7"}})};
+  std::string expected = "<r k=\"v\"><a>x</a><b id=\"7\"></b></r>";
+  EXPECT_EQ(Emit(units), expected);
+  EXPECT_EQ(Emit(units, 1024, {.use_dictionary = false}), expected);
 }
 
 TEST(UnitEmitter, DeepNestingPagesTheTagStack) {
@@ -95,7 +116,8 @@ TEST(UnitEmitter, RejectsPointerUnits) {
   ElementUnit pointer;
   pointer.type = UnitType::kPointer;
   pointer.level = 1;
-  EXPECT_TRUE(emitter.Emit(pointer).IsInvalidArgument());
+  EXPECT_TRUE(EmitEncoded(&emitter, pointer, {}, &dictionary)
+                  .IsInvalidArgument());
 }
 
 TEST(UnitEmitter, EndUnitsAreIgnored) {

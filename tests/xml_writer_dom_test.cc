@@ -69,6 +69,66 @@ TEST(Escape, MatchesPerCharacterReference) {
   }
 }
 
+// The four-way comparison loop AppendEscaped used before its byte-class
+// table, kept as the oracle for the exhaustive cases below.
+std::string LoopEscape(std::string_view text, bool attribute) {
+  std::string out;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    const char* run = p;
+    while (p < end && *p != '&' && *p != '<' && *p != '>' &&
+           (!attribute || *p != '"')) {
+      ++p;
+    }
+    out.append(run, p);
+    if (p == end) return out;
+    switch (*p++) {
+      case '&': out.append("&amp;"); break;
+      case '<': out.append("&lt;"); break;
+      case '>': out.append("&gt;"); break;
+      default: out.append("&quot;"); break;
+    }
+  }
+}
+
+void ExpectMatchesLoop(std::string_view text) {
+  std::string as_text = "prefix";
+  AppendEscapedText(&as_text, text);
+  EXPECT_EQ(as_text, "prefix" + LoopEscape(text, false));
+  std::string as_attribute = "prefix";
+  AppendEscapedAttribute(&as_attribute, text);
+  EXPECT_EQ(as_attribute, "prefix" + LoopEscape(text, true));
+}
+
+TEST(Escape, EveryByteValueMatchesLoop) {
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(b);
+    const char c = static_cast<char>(b);
+    ExpectMatchesLoop(std::string(1, c));
+    ExpectMatchesLoop(std::string("ab") + c + "cd");
+    ExpectMatchesLoop(std::string(9, c));
+  }
+}
+
+TEST(Escape, SpecialsAtEveryOffsetMatchLoop) {
+  const std::string specials = "&<>\"'";
+  for (size_t length = 0; length <= 40; ++length) {
+    ExpectMatchesLoop(std::string(length, 'a'));
+    for (size_t offset = 0; offset < length; ++offset) {
+      for (char special : specials) {
+        std::string text(length, 'a');
+        text[offset] = special;
+        SCOPED_TRACE(text);
+        ExpectMatchesLoop(text);
+        // A second special at the far end of the string.
+        text[length - 1] = '&';
+        ExpectMatchesLoop(text);
+      }
+    }
+  }
+}
+
 TEST(Escape, Utf8CharacterReference) {
   std::string out;
   NEX_ASSERT_OK(AppendUnescaped(&out, "&#x20AC;"));  // euro sign
