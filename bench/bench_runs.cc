@@ -179,11 +179,11 @@ int main(int argc, char** argv) {
     json_log.AddRow("keypath_replacement_fig5",
                     {{"memory_blocks", memory_blocks}}, rs);
     PrintRow("fig5_keypath", memory_blocks, "quicksort",
-             qs.keypath_stats.sort.runs, qs.keypath_stats.sort.merge_passes,
-             qs);
+             qs.keypath_stats.sort.run_formation,
+             qs.keypath_stats.sort.merge_passes, qs);
     PrintRow("fig5_keypath", memory_blocks, "replacement",
-             rs.keypath_stats.sort.runs, rs.keypath_stats.sort.merge_passes,
-             rs);
+             rs.keypath_stats.sort.run_formation,
+             rs.keypath_stats.sort.merge_passes, rs);
   }
 
   // NEXSORT on the flat documents: one huge fan-out forces the subtree
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
     json_log.AddRow("keypath_merge_planned_fig5",
                     {{"memory_blocks", memory_blocks}}, planned);
     PrintMergeRow("fig5_keypath", memory_blocks,
-                  planned.keypath_stats.sort.plan, planned);
+                  planned.keypath_stats.sort.merge_plan, planned);
   }
 
   // Skewed run lengths (replacement selection over alternating presorted

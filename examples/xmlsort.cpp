@@ -132,17 +132,25 @@ class FileSink final : public ByteSink {
 };
 
 void Usage() {
-  std::fprintf(stderr,
-               "usage: xmlsort [--by-attr NAME | --by-tag | --by-child-text "
-               "PATH]\n               [--numeric] [--descending] "
-               "[--depth-limit D] [--memory-mb M]\n               "
-               "[--block-kb B] [--threshold-blocks T] [--cache-blocks N] "
-               "[--readahead N]\n               [--threads N] "
-               "[--prefetch-depth K] [--graceful] [--stats]\n               "
-               "[--run-formation quicksort|replacement] [--stream]\n"
-               "               [--sample-interval-ms N] [--timeline-out FILE] "
-               "[--chrome-trace FILE] [--progress]\n               "
-               "<input.xml> <output.xml>\n");
+  std::fprintf(
+      stderr,
+      "usage: xmlsort [options] <input.xml> <output.xml>\n"
+      "       xmlsort --check-only [options] <input.xml>\n"
+      "order:   [--order SPEC | --by-attr NAME | --by-tag |"
+      " --by-child-text PATH]\n"
+      "         [--numeric] [--descending] [--depth-limit D] [--scope TAG]\n"
+      "memory:  [--memory-mb M] [--block-kb B] [--threshold-blocks T]\n"
+      "         [--sort-memory-blocks N] [--cache-blocks N] [--readahead N]\n"
+      "         [--threads N] [--prefetch-depth K]\n"
+      "         [--run-formation quicksort|replacement] [--graceful]"
+      " [--stream]\n"
+      "output:  [--record-order ATTR] [--strip-attr ATTR] [--dtd FILE]"
+      " [--pretty]\n"
+      "         [--check] [--check-only]\n"
+      "stats:   [--stats] [--stats-json FILE] [--trace-out FILE]\n"
+      "         [--sample-interval-ms N] [--timeline-out FILE]"
+      " [--chrome-trace FILE]\n"
+      "         [--progress]\n");
   std::exit(2);
 }
 

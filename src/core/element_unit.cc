@@ -23,6 +23,7 @@ size_t ElementUnit::EncodedSize(const UnitFormat& format) const {
       break;
     case UnitType::kText:
       size += VarintLength(text.size()) + text.size();
+      if (!key.empty()) size += VarintLength(key.size()) + key.size();
       break;
     case UnitType::kEnd:
       size += VarintLength(key.size()) + key.size();
@@ -40,7 +41,9 @@ size_t ElementUnit::EncodedSize(const UnitFormat& format) const {
 
 void AppendUnit(std::string* dst, const ElementUnit& unit,
                 const UnitFormat& format, NameDictionary* dictionary) {
-  dst->push_back(static_cast<char>(unit.type));
+  const bool keyed_text = unit.type == UnitType::kText && !unit.key.empty();
+  dst->push_back(static_cast<char>(static_cast<uint8_t>(unit.type) |
+                                   (keyed_text ? kKeyedTextFlag : 0)));
   PutVarint32(dst, unit.level);
   PutVarint64(dst, unit.seq);
   switch (unit.type) {
@@ -63,6 +66,7 @@ void AppendUnit(std::string* dst, const ElementUnit& unit,
       break;
     case UnitType::kText:
       PutLengthPrefixed(dst, unit.text);
+      if (keyed_text) PutLengthPrefixed(dst, unit.key);
       break;
     case UnitType::kEnd:
       PutLengthPrefixed(dst, unit.key);
@@ -152,6 +156,9 @@ DecodeResult DecodeUnit(std::string_view input, const UnitFormat& format,
                         const NameDictionary* dictionary, UnitView* unit) {
   if (input.empty()) return DecodeResult::kTruncated;
   uint8_t type_byte = static_cast<uint8_t>(input.front());
+  const bool keyed_text =
+      type_byte == (static_cast<uint8_t>(UnitType::kText) | kKeyedTextFlag);
+  if (keyed_text) type_byte = static_cast<uint8_t>(UnitType::kText);
   if (type_byte < 1 || type_byte > 5) return DecodeResult::kMalformed;
   const NameDictionary* names = format.use_dictionary ? dictionary : nullptr;
   if (format.use_dictionary && names == nullptr) {
@@ -192,6 +199,7 @@ DecodeResult DecodeUnit(std::string_view input, const UnitFormat& format,
     }
     case UnitType::kText:
       if (!in.LengthPrefixed(&unit->text)) return in.result;
+      if (keyed_text && !in.LengthPrefixed(&unit->key)) return in.result;
       break;
     case UnitType::kEnd:
       if (!in.LengthPrefixed(&unit->key)) return in.result;

@@ -9,7 +9,8 @@
 // Unit kinds:
 //   kStart    — an element start tag: level, sequence number, name,
 //               attributes, normalized sort key.
-//   kText     — a text node (level = parent level + 1).
+//   kText     — a text node (level = parent level + 1), with the key of a
+//               `#text` order rule when one applies.
 //   kEnd      — an element end; only materialized when the ordering uses
 //               complex criteria (the resolved key rides on the end, as in
 //               Section 3.2) or when the compaction ablation keeps ends.
@@ -22,10 +23,12 @@
 //
 // Encoding (docs/FORMATS.md): type byte, level and seq varints, then per
 // kind — kStart: name, attribute count, (name, length-prefixed value) per
-// attribute, length-prefixed key; kText: length-prefixed text; kEnd:
-// length-prefixed key; kPointer: length-prefixed key, run id, run bytes;
-// kFragment: run id, run bytes. A name is a dictionary id varint or a
-// length-prefixed string, per UnitFormat.
+// attribute, length-prefixed key; kText: length-prefixed text, then a
+// length-prefixed key only when the type byte carries kKeyedTextFlag (so a
+// text unit without a key encodes exactly as it did before text keys
+// existed); kEnd: length-prefixed key; kPointer: length-prefixed key, run
+// id, run bytes; kFragment: run id, run bytes. A name is a dictionary id
+// varint or a length-prefixed string, per UnitFormat.
 //
 // Two representations, one per side of the data stack:
 //   * ElementUnit owns its strings. The scanners build one per scanned
@@ -59,6 +62,10 @@ enum class UnitType : uint8_t {
   kFragment = 5,
 };
 
+/// Set in a kText unit's type byte when a length-prefixed key follows its
+/// text; AppendUnit sets it exactly when the key is non-empty.
+inline constexpr uint8_t kKeyedTextFlag = 0x80;
+
 /// Serialization knobs shared by writers and readers of one sort.
 struct UnitFormat {
   /// Store names as dictionary ids (compaction on) or inline strings.
@@ -70,7 +77,7 @@ struct ElementUnit {
   uint32_t level = 0;  // root element = 1; text nodes = parent + 1
   uint64_t seq = 0;    // document-order sequence (uniqueness + stability)
 
-  std::string key;   // normalized sort key (kStart, kEnd, kPointer)
+  std::string key;   // normalized sort key (kStart, kText, kEnd, kPointer)
   std::string name;  // tag name (kStart; resolved through the dictionary)
   std::vector<XmlAttribute> attributes;  // kStart
   std::string text;                      // kText
@@ -104,7 +111,7 @@ class UnitView {
   UnitType type = UnitType::kStart;
   uint32_t level = 0;
   uint64_t seq = 0;
-  std::string_view key;   // kStart, kEnd, kPointer
+  std::string_view key;   // kStart, kText, kEnd, kPointer
   std::string_view text;  // kText
   RunHandle run;          // kPointer, kFragment
   std::string_view bytes;  // the whole encoded unit

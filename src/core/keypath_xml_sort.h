@@ -1,42 +1,26 @@
-// The paper's external-merge-sort baseline (Section 1): convert the
-// document to its key-path representation (Table 1) and sort it with the
-// well-known external merge-sort algorithm. Structure-oblivious, so its
-// pass count carries the flat-file log_{M/B}(N/B) factor that NEXSORT's
-// log_{M/B}(min{kt,N}/B) beats whenever the document is not nearly flat.
+// The paper's external-merge-sort baseline (Section 1): sort the document's
+// key-path representation (Table 1) with external merge sort. A driver over
+// NEXSORT's own key-path sort: the scan feeds every unit to one
+// ExternalSubtreeSorter, whose final merge streams to the XML emitter.
 #pragma once
 
 #include <memory>
 
 #include "cache/buffer_pool.h"
 #include "core/common_options.h"
-#include "core/element_unit.h"
-#include "core/order_spec.h"
-#include "core/unit_scanner.h"
+#include "core/subtree_sorter.h"
 #include "env/sort_env.h"
-#include "extmem/block_device.h"
-#include "extmem/memory_budget.h"
-#include "extmem/run_store.h"
 #include "extmem/stream.h"
-#include "obs/tracer.h"
-#include "sort/external_merge_sort.h"
 #include "sort/sorted_stream.h"
 #include "util/status.h"
 
 namespace nexsort {
 
-/// Algorithm knobs only (all inherited: `order`, `depth_limit` — levels
-/// beyond the limit keep document order — and `use_dictionary` for
-/// compaction parity with NEXSORT, so the comparison is apples-to-apples).
-/// Resource plumbing — tracer, cache, parallelism, sort memory — lives in
-/// SortEnvOptions.
+/// Algorithm knobs only (all inherited); resource plumbing is SortEnvOptions.
 struct KeyPathSortOptions : CommonSortOptions {};
 
 struct KeyPathSortStats {
-  ScanStats scan;
-  ExtSortStats sort;        // initial runs + merge passes
-  uint64_t key_path_bytes = 0;  // total encoded key-path bytes (the paper's
-                                // "may consume many times more space" cost)
-  uint64_t output_bytes = 0;
+  SubtreeSortStats sort;  // the one key-path sort: runs and merge passes
 };
 
 /// One-document sorter running inside a SortEnv, like NexSorter. Complex
@@ -44,46 +28,33 @@ struct KeyPathSortStats {
 /// requires every ancestor's key to be known at its start tag.
 class KeyPathXmlSorter {
  public:
-  /// Run in a fresh session of `env` (not owned; must outlive the sorter).
-  KeyPathXmlSorter(SortEnv* env, KeyPathSortOptions options);
-
-  /// Run in a caller-made session (multi-job sharing of one env).
+  /// Run in a new session of `env` (must outlive the sorter) or `session`.
+  KeyPathXmlSorter(SortEnv* env, KeyPathSortOptions options)
+      : KeyPathXmlSorter(env->NewSession(), std::move(options)) {}
   KeyPathXmlSorter(SortEnv::Session session, KeyPathSortOptions options);
 
-  /// Sort `input` (XML text) into `output` (XML text). Single use.
-  /// Implemented as SortStream + drain, so eager and streaming output are
-  /// byte-identical by construction.
-  [[nodiscard]] Status Sort(ByteSource* input, ByteSink* output);
+  /// Sort `input` (XML text) into `output` (XML text): SortStream + drain.
+  [[nodiscard]] Status Sort(ByteSource* input, ByteSink* output) {
+    ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, SortStream(input));
+    return DrainTo(stream.get(), output);
+  }
 
-  /// Streaming form: runs conversion and run formation/merge eagerly, then
-  /// returns a SortedStream whose Next() pulls the final merge one record
-  /// at a time through the XML emitter. Completion work happens inside the
-  /// Next() that returns false. Single use, mutually exclusive with Sort.
+  /// Runs the scan and the merge passes, then returns a stream that pulls
+  /// the final merge through the XML emitter. Single use, like Sort.
   [[nodiscard]] StatusOr<std::unique_ptr<SortedStream>> SortStream(
       ByteSource* input);
 
   const KeyPathSortStats& stats() const { return stats_; }
-
-  /// Counters of the env's block cache; all zeros when caching is disabled.
   CacheStats cache_stats() const { return session_.env()->cache_stats(); }
-
-  /// Counters of this job's parallel pipeline; all zeros when disabled.
-  ParallelStats parallel_stats() const {
-    return session_.parallel() != nullptr ? session_.parallel()->stats()
-                                          : ParallelStats();
-  }
+  ParallelStats parallel_stats() const { return session_.parallel_stats(); }
 
  private:
-  class OutputStream;  // SortedStream over the final-merge pull loop
+  class OutputStream;
 
   SortEnv::Session session_;
   KeyPathSortOptions options_;
-  Tracer* tracer_;       // session_'s sink (may be null)
-  BlockDevice* device_;  // session_'s top-of-stack device
-  MemoryBudget* budget_;
-  RunStore* store_;      // session_'s run store
   NameDictionary dictionary_;
-  UnitFormat format_;
+  SubtreeSortContext context_;
   bool used_ = false;
   KeyPathSortStats stats_;
 };

@@ -99,19 +99,9 @@ NexSorter::NexSorter(SortEnv::Session session, NexSortOptions options)
   sort_context_.dictionary = &dictionary_;
   sort_context_.format = format_;
   sort_context_.depth_limit = options_.depth_limit;
-  sort_context_.run_formation = options_.run_formation;
-  sort_context_.parallel = session_.parallel();
-  sort_context_.buffer_pool = session_.buffer_pool();
-  sort_context_.cancel = session_.cancellation();
   sort_context_.scope_tags =
       options_.sort_scope_tags.empty() ? nullptr : &options_.sort_scope_tags;
-  if (tracer_ != nullptr) {
-    // Spans snapshot the *physical* device: with caching on, their I/O
-    // deltas are real transfers, not logical accesses.
-    tracer_->AttachDevice(session_.physical_device());
-    tracer_->AttachBudget(budget_);
-    sort_context_.tracer = tracer_;
-  }
+  session_.AttachTracer();
 }
 
 Status NexSorter::SortRegion(ExtByteStack* data, const PathEntry& entry,
@@ -142,7 +132,19 @@ Status NexSorter::SortRegion(ExtByteStack* data, const PathEntry& entry,
     ExternalSubtreeSorter external(sort_context_, &stats_.sorts);
     RETURN_IF_ERROR(external.init_status());
     RETURN_IF_ERROR(data->PopRegionTo(entry.start_offset, external.sink()));
-    ASSIGN_OR_RETURN(*run, external.Finish(&root_key));
+    RETURN_IF_ERROR(external.Finish(&root_key));
+    // Like the in-memory path's output run: the DFS re-reads this later,
+    // so place it sequentially.
+    RunWriter writer = store_->NewRun(IoCategory::kRunWrite,
+                                      PlacementHint::kSequentialOutput);
+    RETURN_IF_ERROR(writer.init_status());
+    std::string_view unit;
+    while (true) {
+      ASSIGN_OR_RETURN(bool more, external.Next(&unit));
+      if (!more) break;
+      RETURN_IF_ERROR(writer.Append(unit));
+    }
+    RETURN_IF_ERROR(writer.Finish(run));
   }
   pointer->type = UnitType::kPointer;
   pointer->level = level;
@@ -212,7 +214,7 @@ Status NexSorter::SortingPhase(UnitSource* source, RunHandle* root_run) {
     // Cancellation point once per scanned unit: the stacks and any runs
     // already spilled unwind via their destructors, so a cancelled sort
     // leaves the shared env exactly as a failed one would.
-    RETURN_IF_ERROR(CheckCancelled(sort_context_.cancel));
+    RETURN_IF_ERROR(CheckCancelled(sort_context_.sort_options.cancel));
     ASSIGN_OR_RETURN(bool more, source->Next(&event));
     if (!more) break;
     switch (event.kind) {
@@ -309,15 +311,12 @@ struct OutputLoc {
 /// Owns what the eager output phase held on its stack frame — the
 /// emitter, the external output-location stack, the current run reader —
 /// but created only after the sorting phase, so the memory-ledger profile
-/// matches the eager path exactly. Emitter output lands in buffer_ through
-/// sink_; Next() hands the buffer out as the chunk and recycles it on the
-/// following call.
-class NexSorter::OutputStream final : public SortedStream {
+/// matches the eager path exactly.
+class NexSorter::OutputStream final
+    : public ChunkedSortedStream<NexSorter::OutputStream> {
  public:
   explicit OutputStream(NexSorter* owner)
-      : owner_(owner),
-        sort_span_(owner->tracer_, "nexsort"),
-        sink_(&buffer_) {}
+      : owner_(owner), sort_span_(owner->tracer_, "nexsort") {}
 
   /// Runs the sorting phase (no sorted byte exists before the run tree
   /// does) and opens the output-phase machinery over its root run.
@@ -326,7 +325,7 @@ class NexSorter::OutputStream final : public SortedStream {
     RunHandle root_run;
     RETURN_IF_ERROR(owner_->SortingPhase(source, &root_run));
     output_span_.emplace(owner_->tracer_, "output_phase");
-    emitter_ = make_emitter(owner_->device_, owner_->budget_, &sink_);
+    emitter_ = make_emitter(owner_->device_, owner_->budget_, sink());
     RETURN_IF_ERROR(emitter_->init_status());
     locations_ = std::make_unique<ExtStack<OutputLoc>>(
         owner_->device_, owner_->budget_, 1, IoCategory::kOutputStack);
@@ -338,64 +337,16 @@ class NexSorter::OutputStream final : public SortedStream {
     return reader_->init_status();
   }
 
-  StatusOr<bool> Next(std::string_view* chunk) override {
-    if (!status_.ok()) return status_;  // errors are sticky
-    StatusOr<bool> more = Advance(chunk);
-    if (!more.ok()) status_ = more.status();
-    return more;
-  }
-
- private:
-  /// The emitter flushes to the sink in block-sized pieces, so chunks
-  /// naturally arrive about one block at a time; this only bounds how much
-  /// DFS work one Next() call may batch up.
-  static constexpr size_t kChunkTarget = 4096;
-
-  StatusOr<bool> Advance(std::string_view* chunk) {
-    if (done_) return false;
-    buffer_.clear();
-    while (!dfs_done_ && buffer_.size() < kChunkTarget) {
-      RETURN_IF_ERROR(Step());
-    }
-    if (dfs_done_ && !completed_) {
-      RETURN_IF_ERROR(Complete());
-      completed_ = true;
-    }
-    if (buffer_.empty()) {
-      done_ = true;
-      return false;
-    }
-    *chunk = buffer_;
-    return true;
-  }
-
-  /// Announce the run the DFS is about to read to the buffer pool's
-  /// advisory read-ahead (docs/MERGE_PLANNING.md): each descent/resume
-  /// re-points the advice at the blocks the traversal will stream next.
-  /// Purely advisory — a null pool or disabled read-ahead is fine.
-  void AdviseRun(RunHandle handle) {
-    BufferPool* pool = owner_->session_.buffer_pool();
-    if (pool == nullptr || pool->options().readahead == 0) return;
-    std::vector<uint64_t> blocks;
-    if (owner_->store_->SnapshotBlocks(handle, &blocks).ok()) {
-      pool->AdviseReadSequence(std::move(blocks));
-      advised_ = true;
-    }
-  }
-
   /// One DFS step: advance the current run reader, descending into pointer
   /// runs and resuming parents as the traversal dictates.
   [[nodiscard]] Status Step() {
-    RETURN_IF_ERROR(CheckCancelled(owner_->sort_context_.cancel));
+    RETURN_IF_ERROR(CheckCancelled(owner_->sort_context_.sort_options.cancel));
     // The view points into reader_'s buffer: use it before the reader is
     // replaced or advanced.
     UnitView unit;
     ASSIGN_OR_RETURN(bool more, reader_->Next(&unit));
     if (!more) {
-      if (locations_->empty()) {
-        dfs_done_ = true;
-        return Status::OK();
-      }
+      if (locations_->empty()) return EndSteps();
       // Finished a child run: resume its parent where we left off
       // (Figure 4 lines 14-15).
       OutputLoc loc;
@@ -447,9 +398,7 @@ class NexSorter::OutputStream final : public SortedStream {
     output_span_->End();
     RETURN_IF_ERROR(owner->session_.Flush());
     sort_span_.End();
-    if (owner->session_.parallel() != nullptr) {
-      owner->session_.parallel()->PublishMetrics(owner->tracer_);
-    }
+    owner->session_.PublishParallelMetrics();
     if (owner->tracer_ != nullptr) {
       MetricsRegistry* metrics = owner->tracer_->metrics();
       metrics->GetGauge("data_stack_bytes")->Set(owner->stats_.data_stack_peak);
@@ -464,19 +413,28 @@ class NexSorter::OutputStream final : public SortedStream {
     return Status::OK();
   }
 
+ private:
+  /// Announce the run the DFS is about to read to the buffer pool's
+  /// advisory read-ahead (docs/MERGE_PLANNING.md): each descent/resume
+  /// re-points the advice at the blocks the traversal will stream next.
+  /// Purely advisory — a null pool or disabled read-ahead is fine.
+  void AdviseRun(RunHandle handle) {
+    BufferPool* pool = owner_->session_.buffer_pool();
+    if (pool == nullptr || pool->options().readahead == 0) return;
+    std::vector<uint64_t> blocks;
+    if (owner_->store_->SnapshotBlocks(handle, &blocks).ok()) {
+      pool->AdviseReadSequence(std::move(blocks));
+      advised_ = true;
+    }
+  }
+
   NexSorter* owner_;
   ScopedSpan sort_span_;                   // whole job, both phases
   std::optional<ScopedSpan> output_span_;  // output phase only
-  std::string buffer_;                     // chunk handed out by Next()
-  StringByteSink sink_;
   std::unique_ptr<UnitEmitter> emitter_;
   std::unique_ptr<ExtStack<OutputLoc>> locations_;
   std::unique_ptr<RunUnitReader> reader_;
-  Status status_;
-  bool dfs_done_ = false;   // traversal exhausted
-  bool completed_ = false;  // completion work done
-  bool done_ = false;       // final false already returned
-  bool advised_ = false;    // pool read-advice installed by AdviseRun
+  bool advised_ = false;  // pool read-advice installed by AdviseRun
 };
 
 StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortStream(
@@ -495,35 +453,19 @@ StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortUnits(
     UnitSource* source, UnitEmitterFactory make_emitter) {
   if (used_) return Status::InvalidArgument("NexSorter is single-use");
   used_ = true;
-  const SortEnvOptions& env_options = session_.env()->options();
   // Size the memory ledger from what the budget actually has left (the
   // caller may hold input/output stream buffers; the env's cache frames
   // are already reserved): data stack 1 block, path stack 2 blocks; the
   // rest goes to subtree sorts (one block of which is the run writer on
   // the internal path).
-  uint64_t blocks = budget_->available_blocks();
-  if (blocks < 8) {
-    std::string msg = "NEXSORT needs >= 8 available blocks of memory budget";
-    if (env_options.cache.frames > 0) {
-      msg += " after the " + std::to_string(env_options.cache.frames) +
-             " cache frames";
-    }
-    return Status::InvalidArgument(msg);
-  }
-  uint64_t sort_blocks = blocks - 3;
-  uint64_t pinned_sort_blocks = session_.sort_memory_blocks();
-  if (pinned_sort_blocks != 0) {
-    if (pinned_sort_blocks < 4 || pinned_sort_blocks > sort_blocks) {
-      return Status::InvalidArgument(
-          "sort_memory_blocks must be in [4, available - 3 stack blocks]");
-    }
-    sort_blocks = pinned_sort_blocks;
-  }
+  ASSIGN_OR_RETURN(sort_context_.sort_options,
+                   session_.SortOptions("NEXSORT", 8, 3,
+                                        options_.run_formation));
+  uint64_t sort_blocks = sort_context_.sort_options.memory_blocks;
   sort_capacity_ = (sort_blocks - 1) * device_->block_size();
   // Fragmentation must leave the end-tag region inside the internal sort
   // capacity, so trigger comfortably below it.
   frag_threshold_ = std::max(threshold_, sort_capacity_ / 2);
-  sort_context_.memory_blocks = sort_blocks;
   if (!options_.sort_scope_tags.empty() &&
       (options_.graceful_degeneration || options_.order.HasComplexRules())) {
     return Status::NotSupported(

@@ -167,10 +167,7 @@ class NexSorter {
   CacheStats cache_stats() const { return session_.env()->cache_stats(); }
 
   /// Counters of this job's parallel pipeline; all zeros when disabled.
-  ParallelStats parallel_stats() const {
-    return session_.parallel() != nullptr ? session_.parallel()->stats()
-                                          : ParallelStats();
-  }
+  ParallelStats parallel_stats() const { return session_.parallel_stats(); }
 
  private:
   class OutputStream;  // SortedStream over the output-phase DFS

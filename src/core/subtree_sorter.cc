@@ -11,6 +11,7 @@
 #include "extmem/stream.h"
 #include "sort/external_merge_sort.h"
 #include "sort/key_path.h"
+#include "util/cancellation.h"
 #include "util/varint.h"
 
 namespace nexsort {
@@ -445,18 +446,11 @@ StatusOr<RunHandle> SortForestInMemory(const SubtreeSortContext& ctx,
 ExternalSubtreeSorter::ExternalSubtreeSorter(const SubtreeSortContext& ctx,
                                              SubtreeSortStats* stats)
     : ctx_(ctx), stats_(stats), sink_(this) {
-  if (ctx.memory_blocks < 4) {
+  if (ctx.sort_options.memory_blocks < 4) {
     status_ = Status::InvalidArgument("external subtree sort needs >= 4 blocks");
     return;
   }
-  ExtSortOptions sort_options;
-  sort_options.memory_blocks = ctx.memory_blocks;
-  sort_options.tracer = ctx.tracer;
-  sort_options.parallel = ctx.parallel;
-  sort_options.buffer_pool = ctx.buffer_pool;
-  sort_options.cancel = ctx.cancel;
-  sort_options.run_formation = ctx.run_formation;
-  sorter_ = std::make_unique<ExternalMergeSorter>(ctx.store, sort_options);
+  sorter_ = std::make_unique<ExternalMergeSorter>(ctx.store, ctx.sort_options);
   status_ = sorter_->init_status();
 }
 
@@ -540,7 +534,7 @@ Status ExternalSubtreeSorter::FeedUnit(const UnitView& unit) {
   return Status::OK();
 }
 
-StatusOr<RunHandle> ExternalSubtreeSorter::Finish(std::string* root_key) {
+Status ExternalSubtreeSorter::Finish(std::string* root_key) {
   RETURN_IF_ERROR(status_);
   if (!pending_.empty()) {
     return Status::Corruption("trailing partial unit in subtree stream");
@@ -549,53 +543,19 @@ StatusOr<RunHandle> ExternalSubtreeSorter::Finish(std::string* root_key) {
   ++stats_->external_sorts;
   stats_->largest_subtree_bytes =
       std::max<uint64_t>(stats_->largest_subtree_bytes, bytes_fed_);
-  *root_key = root_key_;
+  if (root_key != nullptr) *root_key = root_key_;
   RETURN_IF_ERROR(sorter_->Finish());
-
-  // Like the in-memory path's output run: the DFS re-reads this later, so
-  // place it sequentially.
-  RunWriter writer = ctx_.store->NewRun(IoCategory::kRunWrite,
-                                       PlacementHint::kSequentialOutput);
-  RETURN_IF_ERROR(writer.init_status());
-  std::string key;
-  std::string value;
-  while (true) {
-    ASSIGN_OR_RETURN(bool more, sorter_->Next(&key, &value));
-    if (!more) break;
-    RETURN_IF_ERROR(writer.Append(value));
-  }
   stats_->run_formation.MergeFrom(sorter_->stats().runs);
   stats_->merge_passes += sorter_->stats().merge_passes;
   stats_->merge_plan.MergeFrom(sorter_->stats().plan);
-  RunHandle handle;
-  RETURN_IF_ERROR(writer.Finish(&handle));
-  return handle;
+  return Status::OK();
 }
 
-StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
-                                        RunHandle input,
-                                        std::string* root_key,
-                                        SubtreeSortStats* stats) {
-  // Convenience wrapper over the streaming sorter for callers whose units
-  // already live in a run (tests; NEXSORT itself streams straight off the
-  // data stack).
-  SubtreeSortContext reduced = ctx;
-  if (reduced.memory_blocks > 4) --reduced.memory_blocks;  // input reader
-  ExternalSubtreeSorter external(reduced, stats);
-  RETURN_IF_ERROR(external.init_status());
-  {
-    RunReader reader = ctx.store->OpenRun(input, 0, IoCategory::kSortTemp);
-    RETURN_IF_ERROR(reader.init_status());
-    std::string buffer(4096, '\0');
-    while (reader.bytes_remaining() > 0) {
-      size_t got = 0;
-      RETURN_IF_ERROR(reader.Read(buffer.data(), buffer.size(), &got));
-      RETURN_IF_ERROR(external.sink()->Append(
-          std::string_view(buffer.data(), got)));
-    }
-  }
-  RETURN_IF_ERROR(ctx.store->FreeRun(input));
-  return external.Finish(root_key);
+StatusOr<bool> ExternalSubtreeSorter::Next(std::string_view* unit) {
+  RETURN_IF_ERROR(CheckCancelled(ctx_.sort_options.cancel));
+  ASSIGN_OR_RETURN(bool more, sorter_->Next(&key_, &value_));
+  if (more) *unit = value_;
+  return more;
 }
 
 }  // namespace nexsort

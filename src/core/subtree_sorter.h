@@ -16,6 +16,7 @@
 #include "core/element_unit.h"
 #include "extmem/run_store.h"
 #include "extmem/stream.h"
+#include "sort/external_merge_sort.h"
 #include "sort/merge_plan.h"
 #include "sort/run_formation.h"
 #include "util/status.h"
@@ -36,30 +37,10 @@ struct SubtreeSortContext {
   /// here are reordered; every other sibling list keeps document order.
   const std::vector<std::string>* scope_tags = nullptr;
 
-  /// Blocks of internal memory one subtree sort may use.
-  uint64_t memory_blocks = 8;
-
-  /// Optional telemetry sink (not owned; may be null), forwarded to the
-  /// external merge sorts run for oversized subtrees.
-  class Tracer* tracer = nullptr;
-
-  /// Shared parallel state (not owned; may be null = serial), forwarded to
-  /// the external merge sorts so every subtree sort shares one worker pool
-  /// and one set of parallel counters. See src/parallel/.
-  class ParallelContext* parallel = nullptr;
-
-  /// The block cache's pool (not owned; may be null), forwarded so merge
-  /// passes can prefetch their input runs.
-  class BufferPool* buffer_pool = nullptr;
-
-  /// Cooperative cancellation (not owned; may be null), forwarded to the
-  /// external merge sorts so an oversized-subtree sort stops at the next
-  /// spill or merged record. See util/cancellation.h.
-  const class CancellationToken* cancel = nullptr;
-
-  /// Run-formation policy (docs/RUN_FORMATION.md), forwarded to the
-  /// external merge sorts run for oversized subtrees.
-  RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
+  /// The external merge sort run for an oversized subtree: its memory
+  /// (the blocks one subtree sort may use), tracer, worker pool, buffer
+  /// pool, cancellation token and run-formation policy.
+  ExtSortOptions sort_options;
 };
 
 /// Statistics accumulated across the subtree sorts of one NEXSORT run.
@@ -165,19 +146,14 @@ class SpanForest {
                                         std::string* root_key,
                                         SubtreeSortStats* stats);
 
-/// Same contract for a subtree too large for memory: units live in run
-/// `input` (consumed and freed). Uses key-path external merge sort.
-/// Complex ordering criteria and kFragment units are not supported on this
-/// path (see DESIGN.md).
-[[nodiscard]] StatusOr<RunHandle> SortSubtreeExternal(const SubtreeSortContext& ctx,
-                                        RunHandle input,
-                                        std::string* root_key,
-                                        SubtreeSortStats* stats);
-
-/// Streaming external subtree sort: serialized units are pushed through
-/// sink() — typically directly from ExtByteStack::PopRegionTo, so the
-/// oversized region never makes an extra round trip through a temp run —
-/// and Finish() completes the key-path external merge sort into a new run.
+/// Key-path external merge sort of one subtree too large for memory, and
+/// the only key-path sort there is: NEXSORT runs one per oversized region,
+/// and the merge-sort baseline (KeyPathXmlSorter) runs one over the whole
+/// document. Serialized units are pushed through sink() — for NEXSORT
+/// directly from ExtByteStack::PopRegionTo, so the region never makes an
+/// extra round trip through a temp run. Finish() runs the merge passes and
+/// Next() pulls the final merge one unit at a time. Complex ordering
+/// criteria and kFragment units are not supported (see DESIGN.md).
 class ExternalSubtreeSorter {
  public:
   ExternalSubtreeSorter(const SubtreeSortContext& ctx,
@@ -189,9 +165,14 @@ class ExternalSubtreeSorter {
   /// Sink accepting the subtree's serialized unit bytes in document order.
   ByteSink* sink() { return &sink_; }
 
-  /// Run the merge passes and write the sorted run. *root_key receives the
-  /// root's sort key.
-  [[nodiscard]] StatusOr<RunHandle> Finish(std::string* root_key);
+  /// Run the merge passes, short of the final merge that Next() drains.
+  /// *root_key, when given, receives the root's sort key.
+  [[nodiscard]] Status Finish(std::string* root_key = nullptr);
+
+  /// The next unit of the sorted subtree, depth-first: its encoded bytes,
+  /// valid until the next call. Returns false after the last unit, and
+  /// Cancelled once the context's token flips.
+  [[nodiscard]] StatusOr<bool> Next(std::string_view* unit);
 
  private:
   class UnitSink final : public ByteSink {
@@ -209,7 +190,7 @@ class ExternalSubtreeSorter {
 
   const SubtreeSortContext& ctx_;
   SubtreeSortStats* stats_;
-  std::unique_ptr<class ExternalMergeSorter> sorter_;
+  std::unique_ptr<ExternalMergeSorter> sorter_;
   UnitSink sink_;
   Status status_;
 
@@ -221,6 +202,8 @@ class ExternalSubtreeSorter {
   bool have_root_ = false;
   std::string root_key_;
   uint64_t bytes_fed_ = 0;
+  std::string key_;    // the final merge's current record
+  std::string value_;
 };
 
 /// Sort a *forest* of complete sibling subtrees (serialized units, all

@@ -210,6 +210,45 @@ void SortEnv::Session::set_tracer(Tracer* tracer) {
   run_store_->set_tracer(tracer);
 }
 
+void SortEnv::Session::AttachTracer() const {
+  if (tracer_ == nullptr) return;
+  tracer_->AttachDevice(physical_device());
+  tracer_->AttachBudget(budget());
+}
+
+StatusOr<ExtSortOptions> SortEnv::Session::SortOptions(
+    std::string_view sorter, uint64_t min_blocks, uint64_t held_blocks,
+    RunFormationPolicy policy) const {
+  uint64_t blocks = budget()->available_blocks();
+  if (blocks < min_blocks) {
+    std::string msg = std::string(sorter) + " needs >= " +
+                      std::to_string(min_blocks) +
+                      " available blocks of memory budget";
+    uint64_t frames = env_->options().cache.frames;
+    if (frames > 0) {
+      msg += " after the " + std::to_string(frames) + " cache frames";
+    }
+    return Status::InvalidArgument(msg);
+  }
+  uint64_t free_blocks = blocks - held_blocks;
+  ExtSortOptions options;
+  options.memory_blocks = free_blocks;
+  uint64_t pinned = env_->options().sort_memory_blocks;
+  if (pinned != 0) {
+    if (pinned < 4 || pinned > free_blocks) {
+      return Status::InvalidArgument("sort_memory_blocks must be in [4, " +
+                                     std::to_string(free_blocks) + "]");
+    }
+    options.memory_blocks = pinned;
+  }
+  options.tracer = tracer_;
+  options.parallel = parallel();
+  options.buffer_pool = buffer_pool();
+  options.cancel = cancellation();
+  options.run_formation = policy;
+  return options;
+}
+
 SessionStats SortEnv::Session::stats() const {
   SessionStats stats;
   stats.id = id_;

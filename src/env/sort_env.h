@@ -39,6 +39,8 @@
 #include "obs/telemetry_hub.h"
 #include "parallel/parallel.h"
 #include "parallel/worker_pool.h"
+#include "sort/external_merge_sort.h"
+#include "sort/run_formation.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -177,9 +179,16 @@ class SortEnv {
     BlockDevice* physical_device() const { return env_->physical_device(); }
     MemoryBudget* budget() const { return env_->budget(); }
     BufferPool* buffer_pool() const { return env_->buffer_pool(); }
-    uint64_t sort_memory_blocks() const {
-      return env_->options().sort_memory_blocks;
-    }
+
+    /// Options for this job's external merge sorts: its tracer, worker
+    /// pool, buffer pool and cancellation token, `policy`, and the blocks
+    /// the budget has left less the `held_blocks` the sorter keeps for
+    /// itself — or the env's sort_memory_blocks when that pins a figure,
+    /// which must lie in [4, that]. Fails, naming `sorter`, when the budget
+    /// has fewer than `min_blocks` left.
+    [[nodiscard]] StatusOr<ExtSortOptions> SortOptions(
+        std::string_view sorter, uint64_t min_blocks, uint64_t held_blocks,
+        RunFormationPolicy policy) const;
 
     uint64_t id() const { return id_; }
 
@@ -188,6 +197,17 @@ class SortEnv {
 
     /// This job's parallel context; null when the env is fully serial.
     ParallelContext* parallel() const { return parallel_.get(); }
+
+    /// Counters of this job's parallel pipeline; all zeros when disabled.
+    ParallelStats parallel_stats() const {
+      return parallel_ != nullptr ? parallel_->stats() : ParallelStats();
+    }
+
+    /// Export those counters into the job's tracer once the job's pipeline
+    /// has drained (ParallelContext::PublishMetrics); no-op when serial.
+    void PublishParallelMetrics() const {
+      if (parallel_ != nullptr) parallel_->PublishMetrics(tracer_);
+    }
 
     /// This job's cancellation token. Sorters running in the session poll
     /// it at block-granular points and return Status::Cancelled; flip it
@@ -206,6 +226,11 @@ class SortEnv {
     /// concurrently — spans would interleave in one shared tracer.
     Tracer* tracer() const { return tracer_; }
     void set_tracer(Tracer* tracer);
+
+    /// Point the job's tracer (if any) at the physical device and the
+    /// budget, so spans snapshot real transfers rather than logical
+    /// accesses when caching is on. Sorters call it as a job starts.
+    void AttachTracer() const;
 
     /// Snapshot of this job's footprint so far. Thread-safe (atomics
     /// only); also taken automatically at destruction and retained by the

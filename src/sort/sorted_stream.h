@@ -15,6 +15,7 @@
 //    resource through normal RAII unwind — no Finish call required.
 #pragma once
 
+#include <string>
 #include <string_view>
 
 #include "extmem/stream.h"
@@ -30,6 +31,69 @@ class SortedStream {
   /// Produce the next chunk of sorted output. The view stays valid until
   /// the next call. Returns false when the stream is complete.
   [[nodiscard]] virtual StatusOr<bool> Next(std::string_view* chunk) = 0;
+};
+
+/// The sorters' output phases share this chunking: Next() fills a buffer
+/// by calling Derived::Step() until the chunk reaches about kChunkTarget
+/// bytes or Step() reports the end with EndSteps(), and runs
+/// Derived::Complete() once, inside the Next() that follows the last step.
+/// Errors are sticky. Derived (the final stream class, which makes Step and
+/// Complete public) is called statically, so the per-unit loop costs no
+/// indirect call.
+template <typename Derived>
+class ChunkedSortedStream : public SortedStream {
+ public:
+  [[nodiscard]] StatusOr<bool> Next(std::string_view* chunk) final {
+    if (!status_.ok()) return status_;
+    StatusOr<bool> more = Advance(chunk);
+    if (!more.ok()) status_ = more.status();
+    return more;
+  }
+
+ protected:
+  ChunkedSortedStream() : sink_(&buffer_) {}
+  ChunkedSortedStream(const ChunkedSortedStream&) = delete;  // sink_ -> buffer_
+  ChunkedSortedStream& operator=(const ChunkedSortedStream&) = delete;
+
+  /// The chunk being filled: where Step() writes its output.
+  ByteSink* sink() { return &sink_; }
+
+  /// What Step() returns when it has no output left.
+  [[nodiscard]] Status EndSteps() {
+    steps_done_ = true;
+    return Status::OK();
+  }
+
+ private:
+  /// Bounds how much work one Next() call batches; the emitters flush to
+  /// the sink about a block at a time anyway.
+  static constexpr size_t kChunkTarget = 4096;
+
+  [[nodiscard]] StatusOr<bool> Advance(std::string_view* chunk) {
+    Derived* stream = static_cast<Derived*>(this);
+    if (done_) return false;
+    buffer_.clear();
+    while (!steps_done_ && buffer_.size() < kChunkTarget) {
+      RETURN_IF_ERROR(stream->Step());
+    }
+    if (steps_done_ && !completed_) {
+      RETURN_IF_ERROR(stream->Complete());
+      completed_ = true;
+    }
+    if (buffer_.empty()) {
+      done_ = true;
+      return false;
+    }
+    *chunk = buffer_;
+    return true;
+  }
+
+  std::string buffer_;
+  StringByteSink sink_;
+  Status status_;
+  bool steps_done_ = false;  // Step() has no more output
+  bool completed_ = false;   // Complete() has run
+  bool done_ = false;        // the final false has been returned
 };
 
 /// Append every remaining chunk of `stream` to `output`: the eager form of

@@ -73,6 +73,9 @@ TEST_P(ElementUnitFormatTest, AllUnitTypesRoundTrip) {
   text.seq = 1;
   text.text = "payload with <chars> & \0 bytes";
   units.push_back(text);
+  text.seq = 2;
+  text.key = "text-key";  // a #text rule's key
+  units.push_back(text);
 
   ElementUnit end;
   end.type = UnitType::kEnd;
@@ -121,6 +124,9 @@ std::string EncodeAllKinds(const UnitFormat& format,
   text.level = 2;
   text.seq = 300;
   text.text = std::string("payload & <chars>\0", 18);
+  AppendUnit(&buf, text, format, dictionary);
+  text.seq = 301;
+  text.key = std::string("keyed\0text", 10);
   AppendUnit(&buf, text, format, dictionary);
   ElementUnit end;
   end.type = UnitType::kEnd;
@@ -259,6 +265,32 @@ TEST(ElementUnit, DictionaryShrinksRepeatedNames) {
   AppendUnit(&compact, unit, with, &dictionary);
   AppendUnit(&verbose, unit, without, &dictionary);
   EXPECT_LT(compact.size(), verbose.size());
+}
+
+// A text unit without a key keeps the encoding it had before text units
+// carried keys; only a keyed one sets kKeyedTextFlag and appends the key.
+TEST(ElementUnit, TextKeyRidesOnlyOnKeyedText) {
+  NameDictionary dictionary;
+  ElementUnit text;
+  text.type = UnitType::kText;
+  text.level = 2;
+  text.seq = 5;
+  text.text = "zeta";
+  std::string plain;
+  AppendUnit(&plain, text, {}, &dictionary);
+  EXPECT_EQ(plain, std::string("\x02\x02\x05\x04zeta", 8));
+
+  text.key = "zeta";
+  std::string keyed;
+  AppendUnit(&keyed, text, {}, &dictionary);
+  EXPECT_EQ(keyed, std::string("\x82\x02\x05\x04zeta\x04zeta", 13));
+  std::string_view view = keyed;
+  UnitView unit;
+  NEX_ASSERT_OK(NextUnit(&view, {}, &dictionary, &unit));
+  EXPECT_EQ(unit.type, UnitType::kText);
+  EXPECT_EQ(unit.text, "zeta");
+  EXPECT_EQ(unit.key, "zeta");
+  EXPECT_EQ(unit.bytes.size(), keyed.size());
 }
 
 TEST(ElementUnit, ParseRejectsBadType) {
@@ -421,7 +453,7 @@ TEST(ExternalSubtreeSorter, CorruptUnitFailsOnArrival) {
   SubtreeSortContext ctx;
   ctx.store = &store;
   ctx.dictionary = &dictionary;
-  ctx.memory_blocks = 8;
+  ctx.sort_options.memory_blocks = 8;
   SubtreeSortStats stats;
   ExternalSubtreeSorter external(ctx, &stats);
   NEX_ASSERT_OK(external.init_status());

@@ -1,11 +1,11 @@
 // Byte-identity oracle: SHA-256 digests of NexSorter, KeyPathXmlSorter and
 // JsonSorter output over seeded generated documents, across the option
 // matrix (dictionary on/off, end units kept, complex text-content keys,
-// depth limits, scoped sorts, graceful degeneration, pretty output,
-// strip/record-order attributes) and across memory sizes that put regions
-// both under and over the internal sort capacity. The digests are pinned:
-// a change that alters any of them alters output bytes, which no
-// performance or refactoring change may do.
+// #text order rules, depth limits, scoped sorts, graceful degeneration,
+// pretty output, strip/record-order attributes) and across memory sizes
+// that put regions both under and over the internal sort capacity. The
+// digests are pinned: a change that alters any of them alters output
+// bytes, which no performance or refactoring change may do.
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/order_spec_parse.h"
 #include "nested/json.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -237,6 +238,21 @@ OrderSpec TextContentKeys() {
   return spec;
 }
 
+// Text nodes order by content among their element siblings; elements by
+// numeric id.
+OrderSpec TextOrder() {
+  StatusOr<OrderSpec> spec = ParseOrderSpec("#text:tag;*:attr(id)n");
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.ok() ? *spec : OrderSpec();
+}
+
+// Captured when text units began carrying their #text keys (before that,
+// NexSorter sorted every text node first, in document order), and checked
+// against the in-memory DOM sort. The flat document has no text among
+// element siblings, so it keeps kFlatById.
+constexpr char kDeepTextOrder[] =
+    "af3fe448912e9191ce0ccd5128eddae11a2fcee32b4511ae5924690ced574c48";
+
 struct NexCase {
   const char* name;
   Memory memory;
@@ -268,6 +284,7 @@ TEST(GoldenDigest, NexSorterOutputIsPinned) {
   auto verbatim = [](NexSortOptions* o) { o->use_dictionary = false; };
   auto end_units = [](NexSortOptions* o) { o->keep_end_units = true; };
   auto text_key = [](NexSortOptions* o) { o->order = TextContentKeys(); };
+  auto text_order = [](NexSortOptions* o) { o->order = TextOrder(); };
   auto depth_2 = [](NexSortOptions* o) { o->depth_limit = 2; };
   auto scope = [](NexSortOptions* o) { o->sort_scope_tags = {"a", "c"}; };
   auto graceful = [](NexSortOptions* o) { o->graceful_degeneration = true; };
@@ -315,6 +332,8 @@ TEST(GoldenDigest, NexSorterOutputIsPinned) {
        kFlatStripRecord},
       {"strip-record-tight", kTight, strip_record, kDeepStripRecord,
        kFlatStripRecord},
+      {"text-order-roomy", kRoomy, text_order, kDeepTextOrder, kFlatById},
+      {"text-order-tight", kTight, text_order, kDeepTextOrder, kFlatById},
   };
   uint64_t tight_internal = 0;
   uint64_t tight_external = 0;
@@ -349,17 +368,19 @@ TEST(GoldenDigest, KeyPathSorterOutputIsPinned) {
     bool use_dictionary;
     int depth_limit;
     const char* deep_digest;
+    OrderSpec order = NumericIds();
   };
   const std::vector<Case> cases = {
       {"roomy", kRoomy, true, 0, kDeepById},
       {"tight", kTight, true, 0, kDeepById},
       {"verbatim-tight", kTight, false, 0, kDeepById},
-      {"depth-2-tight", kTight, true, 2, kDeepDepth2}};
+      {"depth-2-tight", kTight, true, 2, kDeepDepth2},
+      {"text-order-tight", kTight, true, 0, kDeepTextOrder, TextOrder()}};
   for (const Case& c : cases) {
     for (bool deep : {true, false}) {
       SCOPED_TRACE(std::string(deep ? "deep/" : "flat/") + c.name);
       KeyPathSortOptions options;
-      options.order = NumericIds();
+      options.order = c.order;
       options.use_dictionary = c.use_dictionary;
       options.depth_limit = c.depth_limit;
       std::string out = KeyPathSortString(deep ? Docs().deep : Docs().flat,

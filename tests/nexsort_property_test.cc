@@ -7,7 +7,10 @@
 
 #include <map>
 
+#include "core/order_spec_parse.h"
+#include "core/sorted_check.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "xml/dom.h"
 #include "xml/generator.h"
 
@@ -41,6 +44,15 @@ std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
          (p.graceful ? "g1" : "g0") + "s" + std::to_string(p.seed);
 }
 
+// The orders every sweep case runs under: by numeric id, and the same with
+// a #text rule, whose keys text units must carry through every sort path.
+std::vector<OrderSpec> SweepOrders() {
+  StatusOr<OrderSpec> text_order = ParseOrderSpec("#text:tag;*:attr(id)n");
+  EXPECT_TRUE(text_order.ok()) << text_order.status().ToString();
+  return {OrderSpec::ByAttribute("id", /*numeric=*/true),
+          text_order.ok() ? *text_order : OrderSpec()};
+}
+
 class NexSortSweep : public ::testing::TestWithParam<SweepParam> {};
 
 // Multiset of (element name, attrs, text) signatures plus every
@@ -66,39 +78,45 @@ TEST_P(NexSortSweep, MatchesOracleAndPreservesStructure) {
   auto xml = generator.GenerateString();
   ASSERT_TRUE(xml.ok()) << xml.status().ToString();
 
-  NexSortOptions options;
-  options.order = OrderSpec::ByAttribute("id", /*numeric=*/true);
-  options.sort_threshold = p.threshold;
-  options.graceful_degeneration = p.graceful != 0;
-
-  Env env(p.block_size, p.memory_blocks);
-  NexSorter sorter(env.get(), options);
-  StringByteSource source(*xml);
-  std::string sorted;
-  StringByteSink sink(&sorted);
-  NEX_ASSERT_OK(sorter.Sort(&source, &sink));
-
-  // (a) Oracle equivalence.
-  EXPECT_EQ(sorted, OracleSort(*xml, options.order));
-
-  // (b) Permutation + edge preservation.
   auto input_dom = ParseDom(*xml);
-  auto output_dom = ParseDom(sorted);
-  ASSERT_TRUE(input_dom.ok() && output_dom.ok());
-  std::map<std::string, int> input_sigs, output_sigs;
+  ASSERT_TRUE(input_dom.ok());
+  std::map<std::string, int> input_sigs;
   CollectSignatures(**input_dom, "", &input_sigs);
-  CollectSignatures(**output_dom, "", &output_sigs);
-  EXPECT_EQ(input_sigs, output_sigs);
 
-  // (c) Budget respected.
-  EXPECT_LE(env.budget()->peak_blocks(), env.budget()->total_blocks());
+  for (const OrderSpec& order : SweepOrders()) {
+    SCOPED_TRACE(std::to_string(order.rules().size()) + " order rule(s)");
+    NexSortOptions options;
+    options.order = order;
+    options.sort_threshold = p.threshold;
+    options.graceful_degeneration = p.graceful != 0;
 
-  // Sanity on the stats the benchmarks rely on.
-  const NexSortStats& stats = sorter.stats();
-  EXPECT_EQ(stats.scan.max_depth, p.height);
-  EXPECT_GE(stats.subtree_sorts, 1u);
-  EXPECT_EQ(stats.input_bytes, xml->size());
-  EXPECT_EQ(stats.output_bytes, sorted.size());
+    Env env(p.block_size, p.memory_blocks);
+    NexSorter sorter(env.get(), options);
+    StringByteSource source(*xml);
+    std::string sorted;
+    StringByteSink sink(&sorted);
+    NEX_ASSERT_OK(sorter.Sort(&source, &sink));
+
+    // (a) Oracle equivalence.
+    EXPECT_EQ(sorted, OracleSort(*xml, options.order));
+
+    // (b) Permutation + edge preservation.
+    auto output_dom = ParseDom(sorted);
+    ASSERT_TRUE(output_dom.ok());
+    std::map<std::string, int> output_sigs;
+    CollectSignatures(**output_dom, "", &output_sigs);
+    EXPECT_EQ(input_sigs, output_sigs);
+
+    // (c) Budget respected.
+    EXPECT_LE(env.budget()->peak_blocks(), env.budget()->total_blocks());
+
+    // Sanity on the stats the benchmarks rely on.
+    const NexSortStats& stats = sorter.stats();
+    EXPECT_EQ(stats.scan.max_depth, p.height);
+    EXPECT_GE(stats.subtree_sorts, 1u);
+    EXPECT_EQ(stats.input_bytes, xml->size());
+    EXPECT_EQ(stats.output_bytes, sorted.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,16 +182,19 @@ TEST_P(KeyPathSweep, MatchesOracle) {
   auto xml = generator.GenerateString();
   ASSERT_TRUE(xml.ok()) << xml.status().ToString();
 
-  KeyPathSortOptions options;
-  options.order = OrderSpec::ByAttribute("id", /*numeric=*/true);
-  Env env(p.block_size, p.memory_blocks);
-  KeyPathXmlSorter sorter(env.get(), options);
-  StringByteSource source(*xml);
-  std::string sorted;
-  StringByteSink sink(&sorted);
-  NEX_ASSERT_OK(sorter.Sort(&source, &sink));
-  EXPECT_EQ(sorted, OracleSort(*xml, options.order));
-  EXPECT_LE(env.budget()->peak_blocks(), env.budget()->total_blocks());
+  for (const OrderSpec& order : SweepOrders()) {
+    SCOPED_TRACE(std::to_string(order.rules().size()) + " order rule(s)");
+    KeyPathSortOptions options;
+    options.order = order;
+    Env env(p.block_size, p.memory_blocks);
+    KeyPathXmlSorter sorter(env.get(), options);
+    StringByteSource source(*xml);
+    std::string sorted;
+    StringByteSink sink(&sorted);
+    NEX_ASSERT_OK(sorter.Sort(&source, &sink));
+    EXPECT_EQ(sorted, OracleSort(*xml, options.order));
+    EXPECT_LE(env.budget()->peak_blocks(), env.budget()->total_blocks());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -199,6 +220,52 @@ TEST(CrossAlgorithm, NexSortEqualsKeyPathBaseline) {
     EXPECT_EQ(NexSortString(*xml, nex_options, 512, 10),
               KeyPathSortString(*xml, kp_options, 512, 10))
         << "seed " << seed;
+  }
+}
+
+// A #text rule orders text nodes among their element siblings, so NEXSORT,
+// the key-path baseline and the in-memory DOM sort must agree on it, and
+// the result must pass the sortedness check. The second document puts
+// keyed text through the external subtree sort and, with graceful
+// degeneration, through fragment runs.
+TEST(TextKeyOrder, SortersAgreeWithDomSort) {
+  StatusOr<OrderSpec> spec = ParseOrderSpec("#text:tag;*:attr(id)");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const std::string probe =
+      "<r><a id=\"2\"/>zeta<a id=\"1\"/>alpha<a id=\"3\"/>mid</r>";
+  EXPECT_EQ(OracleSort(probe, *spec),
+            "<r><a id=\"1\"></a><a id=\"2\"></a><a id=\"3\"></a>"
+            "alphamidzeta</r>");
+
+  std::string flat = "<r>";
+  Random rng(31);
+  for (int i = 0; i < 600; ++i) {
+    flat += "<a id=\"" + std::to_string(rng.Uniform(90)) + "\">" +
+            rng.Identifier(1 + rng.Uniform(6)) + "</a>";
+    if (rng.OneIn(2)) flat += rng.Identifier(1 + rng.Uniform(8));
+  }
+  flat += "</r>";
+
+  for (const std::string& xml : {probe, flat}) {
+    const std::string expected = OracleSort(xml, *spec);
+    for (bool graceful : {false, true}) {
+      SCOPED_TRACE(graceful ? "graceful" : "plain");
+      NexSortOptions nex_options;
+      nex_options.order = *spec;
+      nex_options.graceful_degeneration = graceful;
+      NexSortStats stats;
+      EXPECT_EQ(NexSortString(xml, nex_options, 256, 12, &stats), expected);
+      if (xml == flat) {
+        EXPECT_GT(graceful ? stats.fragment_runs : stats.sorts.external_sorts,
+                  0u);
+      }
+    }
+    KeyPathSortOptions kp_options;
+    kp_options.order = *spec;
+    EXPECT_EQ(KeyPathSortString(xml, kp_options, 256, 12), expected);
+    StatusOr<SortednessReport> report = CheckSorted(expected, *spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->sorted) << report->violation;
   }
 }
 
