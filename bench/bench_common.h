@@ -23,6 +23,7 @@
 #include "obs/json_writer.h"
 #include "obs/telemetry_hub.h"
 #include "obs/tracer.h"
+#include "service/sort_job.h"
 #include "xml/generator.h"
 
 namespace nexsort {
@@ -42,8 +43,8 @@ struct RunResult {
   double modeled_seconds = 0;
   double wall_seconds = 0;
   uint64_t output_bytes = 0;
-  /// Streaming runs only (RunNexSortStream): milliseconds from Sort start
-  /// to the first sorted chunk. Negative when the run was eager.
+  /// RunNexSortStream only: milliseconds from the job's start to the first
+  /// sorted chunk. Negative for every other runner.
   double time_to_first_byte_ms = -1;
   NexSortStats nexsort_stats;      // NEXSORT runs only
   KeyPathSortStats keypath_stats;  // baseline runs only
@@ -108,9 +109,10 @@ inline RunResult RunNexSort(const std::string& xml, uint64_t memory_blocks,
                     capture_telemetry, output);
 }
 
-/// Sort `xml` with NEXSORT's pull-based SortedStream, draining chunk by
-/// chunk and stamping time_to_first_byte_ms when the first sorted chunk
-/// surfaces. Output bytes are identical to RunNexSort.
+/// Sort `xml` with NEXSORT as a SortJob over a string source and sink: the
+/// job drains the SortedStream chunk by chunk and stamps
+/// time_to_first_byte_ms when the first sorted chunk surfaces. Output
+/// bytes are identical to RunNexSort.
 inline RunResult RunNexSortStream(const std::string& xml,
                                   uint64_t memory_blocks,
                                   NexSortOptions options,
@@ -126,33 +128,15 @@ inline RunResult RunNexSortStream(const std::string& xml,
     return result;
   }
   std::unique_ptr<SortEnv> env = std::move(env_or).value();
-  NexSorter sorter(env.get(), std::move(options));
   StringByteSource source(xml);
   std::string out;
-  auto start = std::chrono::steady_clock::now();
-  auto stream_or = sorter.SortStream(&source);
-  Status st = stream_or.status();
-  if (st.ok()) {
-    std::string_view chunk;
-    bool first = true;
-    while (true) {
-      auto more = stream_or.value()->Next(&chunk);
-      if (!more.ok()) {
-        st = more.status();
-        break;
-      }
-      if (!more.value()) break;
-      if (first) {
-        first = false;
-        result.time_to_first_byte_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-      }
-      out.append(chunk);
-    }
-  }
-  auto stop = std::chrono::steady_clock::now();
+  StringByteSink sink(&out);
+  SortJob job;
+  job.options = std::move(options);
+  job.inputs.emplace_back().source = &source;
+  job.output.sink = &sink;
+  SortJobResult job_result;
+  Status st = job.Run(env->NewSession(), &job_result);
   result.ok = st.ok();
   result.error = st.ToString();
   result.io = env->physical_device()->stats();
@@ -160,9 +144,10 @@ inline RunResult RunNexSortStream(const std::string& xml,
   result.io_reads = result.io.reads;
   result.io_writes = result.io.writes;
   result.modeled_seconds = result.io.modeled_seconds;
-  result.wall_seconds = std::chrono::duration<double>(stop - start).count();
+  result.wall_seconds = job_result.wall_ms / 1e3;
+  result.time_to_first_byte_ms = job_result.time_to_first_byte_ms;
   result.output_bytes = out.size();
-  result.nexsort_stats = sorter.stats();
+  result.nexsort_stats = job_result.nexsort;
   result.cache = env->cache_stats();
   if (output != nullptr) *output = std::move(out);
   return result;

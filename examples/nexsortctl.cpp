@@ -12,12 +12,13 @@
 //     --order SPEC           ordering spec (core/order_spec_parse.h)
 //     --input FILE           input document (sort / batch_update base);
 //                            read here and sent inline
-//     --input-path FILE      same, but the daemon reads it (shared host)
+//     --input-path FILE      same, but the daemon streams it from the file
+//                            when the job runs (shared host; the file must
+//                            exist until then)
 //     --inputs F1,F2,...     merge inputs, read here, merge order
 //     --updates FILE         batch_update updates document
-//     --output FILE          daemon stages + atomically renames here
-//     --stream               sort jobs: daemon drains the pull-based
-//                            SortedStream and reports time_to_first_byte_ms
+//     --output FILE          daemon streams into a staging file and
+//                            atomically renames it here
 //     --print                wait and print the result document to stdout
 //     --wait                 block until the job is terminal
 //   status --job ID          one job record
@@ -35,12 +36,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "extmem/stream.h"
 #include "obs/json_writer.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -59,20 +59,16 @@ void Usage(FILE* out) {
       "  submit [--kind sort|merge|batch_update] [--tenant NAME]\n"
       "         [--priority P] [--order SPEC] [--input FILE]\n"
       "         [--input-path FILE] [--inputs F1,F2,...] [--updates FILE]\n"
-      "         [--output FILE] [--stream] [--print] [--wait]\n"
+      "         [--output FILE] [--print] [--wait]\n"
       "  status --job ID | wait --job ID | cancel --job ID\n");
 }
 
 bool ReadFileOrDie(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "nexsortctl: cannot open %s\n", path.c_str());
-    return false;
+  Status read = ReadFile(path, out);
+  if (!read.ok()) {
+    std::fprintf(stderr, "nexsortctl: %s\n", read.ToString().c_str());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = std::move(buffer).str();
-  return true;
+  return read.ok();
 }
 
 std::vector<std::string> SplitCommas(const std::string& text) {
@@ -128,11 +124,9 @@ void PrintJob(const JsonValue& job) {
       job.GetString("state", "?").c_str(),
       job.GetString("tenant", "?").c_str(),
       static_cast<long long>(job.GetInt("priority")));
-  if (job.GetBool("streamed", false)) {
-    const JsonValue* ttfb = job.Find("time_to_first_byte_ms");
-    if (ttfb != nullptr && ttfb->is_number()) {
-      std::printf("  ttfb=%.1fms", ttfb->number_value());
-    }
+  const JsonValue* ttfb = job.Find("time_to_first_byte_ms");
+  if (ttfb != nullptr && ttfb->is_number()) {
+    std::printf("  ttfb=%.1fms", ttfb->number_value());
   }
   std::string error = job.GetString("error");
   if (!error.empty()) std::printf("  error=%s", error.c_str());
@@ -264,7 +258,6 @@ int main(int argc, char** argv) {
   std::string updates_text;
   bool have_updates = false;
   std::string output_path;
-  bool stream = false;
   bool print_result = false;
   bool wait = false;
 
@@ -302,8 +295,6 @@ int main(int argc, char** argv) {
       have_updates = true;
     } else if (arg == "--output") {
       output_path = next();
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (arg == "--print") {
       print_result = true;
       wait = true;
@@ -354,10 +345,6 @@ int main(int argc, char** argv) {
   if (!output_path.empty()) {
     writer.Key("output");
     writer.String(output_path);
-  }
-  if (stream) {
-    writer.Key("stream");
-    writer.Bool(true);
   }
   if (print_result) {
     writer.Key("return_output");

@@ -13,43 +13,20 @@
 //   --stats          print change counts
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/nexsort.h"
 #include "core/order_spec_parse.h"
 #include "env/sort_env.h"
+#include "extmem/stream.h"
 #include "merge/structural_diff.h"
+#include "service/sort_job.h"
 
 using namespace nexsort;
 
 namespace {
-
-class FileSource final : public ByteSource {
- public:
-  explicit FileSource(FILE* file) : file_(file) {}
-  Status Read(char* buf, size_t n, size_t* out) override {
-    *out = std::fread(buf, 1, n, file_);
-    if (*out < n && std::ferror(file_)) return Status::IOError("read error");
-    return Status::OK();
-  }
-
- private:
-  FILE* file_;
-};
-
-class FileSink final : public ByteSink {
- public:
-  explicit FileSink(FILE* file) : file_(file) {}
-  Status Append(std::string_view data) override {
-    if (std::fwrite(data.data(), 1, data.size(), file_) != data.size()) {
-      return Status::IOError("write error");
-    }
-    return Status::OK();
-  }
-
- private:
-  FILE* file_;
-};
 
 void Usage() {
   std::fprintf(stderr,
@@ -57,49 +34,6 @@ void Usage() {
                "               [--memory-mb M] [--block-kb B] [--stats]\n"
                "               <base.xml> <target.xml> <batch.xml>\n");
   std::exit(2);
-}
-
-bool SortFile(const std::string& path, const OrderSpec& spec,
-              size_t block_size, uint64_t memory_blocks,
-              std::string* sorted_path) {
-  FILE* input = std::fopen(path.c_str(), "rb");
-  if (input == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  *sorted_path = path + ".sorted.tmp";
-  FILE* output = std::fopen(sorted_path->c_str(), "wb");
-  if (output == nullptr) {
-    std::fclose(input);
-    return false;
-  }
-  std::string work = *sorted_path + ".work";
-  auto env_or = SortEnvBuilder()
-                    .BlockSize(block_size)
-                    .MemoryBlocks(memory_blocks)
-                    .File(work)
-                    .Build();
-  if (!env_or.ok()) {
-    std::fclose(input);
-    std::fclose(output);
-    return false;
-  }
-  std::unique_ptr<SortEnv> env = std::move(env_or).value();
-  NexSortOptions options;
-  options.order = spec;
-  NexSorter sorter(env.get(), options);
-  FileSource source(input);
-  FileSink sink(output);
-  Status st = sorter.Sort(&source, &sink);
-  std::fclose(input);
-  std::fclose(output);
-  std::remove(work.c_str());
-  if (!st.ok()) {
-    std::fprintf(stderr, "sorting %s failed: %s\n", path.c_str(),
-                 st.ToString().c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -146,43 +80,50 @@ int main(int argc, char** argv) {
 
   size_t block_size = static_cast<size_t>(block_kb) * 1024;
   uint64_t memory_blocks = memory_mb * 1024 * 1024 / block_size;
-  if (memory_blocks < 8) {
+  if (memory_blocks < NexSorter::kMinMemoryBlocks) {
     std::fprintf(stderr, "memory budget too small\n");
     return 2;
   }
 
-  std::string base_sorted;
-  std::string target_sorted;
-  if (!SortFile(paths[0], spec, block_size, memory_blocks, &base_sorted) ||
-      !SortFile(paths[1], spec, block_size, memory_blocks, &target_sorted)) {
+  // Working storage and the two sorted temp files, removed however
+  // xmldiff ends.
+  std::vector<std::string> temp_paths = {paths[2] + ".work"};
+  auto fail = [&temp_paths](const Status& status) {
+    for (const std::string& path : temp_paths) std::remove(path.c_str());
+    std::fprintf(stderr, "xmldiff: %s\n", status.ToString().c_str());
     return 1;
-  }
+  };
+  auto env = SortEnvBuilder()
+                 .BlockSize(block_size)
+                 .MemoryBlocks(memory_blocks)
+                 .File(temp_paths[0])
+                 .Build();
+  if (!env.ok()) return fail(env.status());
 
-  FILE* base = std::fopen(base_sorted.c_str(), "rb");
-  FILE* target = std::fopen(target_sorted.c_str(), "rb");
-  FILE* batch = std::fopen(paths[2].c_str(), "wb");
-  if (base == nullptr || target == nullptr || batch == nullptr) {
-    std::fprintf(stderr, "cannot open working files\n");
-    return 1;
+  // NEXSORT base and target into temp files, one job each, then diff them.
+  std::unique_ptr<FileByteSource> sorted[2];
+  for (int i = 0; i < 2; ++i) {
+    SortJob job;
+    job.options.order = spec;
+    job.inputs.emplace_back().path = paths[i];
+    job.output.path = temp_paths.emplace_back(paths[i] + ".sorted.tmp");
+    SortJobResult result;
+    Status status = job.Run(env.value()->NewSession(), &result);
+    if (!status.ok()) return fail(status);
+    auto file = FileByteSource::Open(job.output.path);
+    if (!file.ok()) return fail(file.status());
+    sorted[i] = std::move(file).value();
   }
-  FileSource base_source(base);
-  FileSource target_source(target);
-  FileSink batch_sink(batch);
+  auto batch = FileByteSink::Open(paths[2]);
+  if (!batch.ok()) return fail(batch.status());
   DiffOptions options;
   options.order = spec;
   DiffStats stats;
-  Status st =
-      StructuralDiff(&base_source, &target_source, &batch_sink, options,
-                     &stats);
-  std::fclose(base);
-  std::fclose(target);
-  std::fclose(batch);
-  std::remove(base_sorted.c_str());
-  std::remove(target_sorted.c_str());
-  if (!st.ok()) {
-    std::fprintf(stderr, "diff failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  Status status = StructuralDiff(sorted[0].get(), sorted[1].get(),
+                                 batch.value().get(), options, &stats);
+  if (status.ok()) status = batch.value()->Close();
+  if (!status.ok()) return fail(status);
+  for (const std::string& path : temp_paths) std::remove(path.c_str());
   if (show_stats) {
     std::fprintf(stderr,
                  "inserted %llu, deleted %llu, replaced %llu, unchanged "

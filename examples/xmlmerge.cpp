@@ -22,40 +22,13 @@
 
 #include "core/nexsort.h"
 #include "env/sort_env.h"
+#include "extmem/stream.h"
 #include "merge/structural_merge.h"
+#include "service/sort_job.h"
 
 using namespace nexsort;
 
 namespace {
-
-class FileSource final : public ByteSource {
- public:
-  explicit FileSource(FILE* file) : file_(file) {}
-  Status Read(char* buf, size_t n, size_t* out) override {
-    *out = std::fread(buf, 1, n, file_);
-    if (*out < n && std::ferror(file_)) {
-      return Status::IOError("read error");
-    }
-    return Status::OK();
-  }
-
- private:
-  FILE* file_;
-};
-
-class FileSink final : public ByteSink {
- public:
-  explicit FileSink(FILE* file) : file_(file) {}
-  Status Append(std::string_view data) override {
-    if (std::fwrite(data.data(), 1, data.size(), file_) != data.size()) {
-      return Status::IOError("write error");
-    }
-    return Status::OK();
-  }
-
- private:
-  FILE* file_;
-};
 
 void Usage() {
   std::fprintf(stderr,
@@ -64,53 +37,6 @@ void Usage() {
                "[--stats]\n                <in1.xml> <in2.xml> [...] "
                "<output.xml>\n");
   std::exit(2);
-}
-
-// NEXSORT `path` into a sorted temp file; returns the temp path.
-bool SortToTemp(const std::string& path, const OrderSpec& spec,
-                size_t block_size, uint64_t memory_blocks,
-                std::string* temp_path) {
-  FILE* input = std::fopen(path.c_str(), "rb");
-  if (input == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  *temp_path = path + ".sorted.tmp";
-  FILE* output = std::fopen(temp_path->c_str(), "wb");
-  if (output == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", temp_path->c_str());
-    std::fclose(input);
-    return false;
-  }
-  std::string work_path = *temp_path + ".work";
-  auto env_or = SortEnvBuilder()
-                    .BlockSize(block_size)
-                    .MemoryBlocks(memory_blocks)
-                    .File(work_path)
-                    .Build();
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "working storage: %s\n",
-                 env_or.status().ToString().c_str());
-    std::fclose(input);
-    std::fclose(output);
-    return false;
-  }
-  std::unique_ptr<SortEnv> env = std::move(env_or).value();
-  NexSortOptions options;
-  options.order = spec;
-  NexSorter sorter(env.get(), options);
-  FileSource source(input);
-  FileSink sink(output);
-  Status status = sorter.Sort(&source, &sink);
-  std::fclose(input);
-  std::fclose(output);
-  std::remove(work_path.c_str());
-  if (!status.ok()) {
-    std::fprintf(stderr, "sorting %s failed: %s\n", path.c_str(),
-                 status.ToString().c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -153,7 +79,7 @@ int main(int argc, char** argv) {
 
   size_t block_size = static_cast<size_t>(block_kb) * 1024;
   uint64_t memory_blocks = memory_mb * 1024 * 1024 / block_size;
-  if (memory_blocks < 8) {
+  if (memory_blocks < NexSorter::kMinMemoryBlocks) {
     std::fprintf(stderr, "memory budget too small\n");
     return 2;
   }
@@ -161,49 +87,51 @@ int main(int argc, char** argv) {
   OrderSpec spec;
   spec.AddRule(rule);
 
-  // Phase 1: sort every input.
-  std::vector<std::string> sorted_paths(paths.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    if (!SortToTemp(paths[i], spec, block_size, memory_blocks,
-                    &sorted_paths[i])) {
-      return 1;
-    }
+  // Working storage and the sorted temp files, removed however xmlmerge
+  // ends.
+  std::vector<std::string> temp_paths = {output_path + ".work"};
+  auto fail = [&temp_paths](const Status& status) {
+    for (const std::string& path : temp_paths) std::remove(path.c_str());
+    std::fprintf(stderr, "xmlmerge: %s\n", status.ToString().c_str());
+    return 1;
+  };
+  auto env = SortEnvBuilder()
+                 .BlockSize(block_size)
+                 .MemoryBlocks(memory_blocks)
+                 .File(temp_paths[0])
+                 .Build();
+  if (!env.ok()) return fail(env.status());
+
+  // Phase 1: NEXSORT every input into a temp file, one job each.
+  std::vector<std::unique_ptr<FileByteSource>> files;
+  std::vector<ByteSource*> inputs;
+  for (const std::string& path : paths) {
+    SortJob job;
+    job.options.order = spec;
+    job.inputs.emplace_back().path = path;
+    job.output.path = temp_paths.emplace_back(path + ".sorted.tmp");
+    SortJobResult result;
+    Status sorted = job.Run(env.value()->NewSession(), &result);
+    if (!sorted.ok()) return fail(sorted);
+    auto file = FileByteSource::Open(job.output.path);
+    if (!file.ok()) return fail(file.status());
+    files.push_back(std::move(file).value());
+    inputs.push_back(files.back().get());
   }
 
   // Phase 2: one-pass merge of all sorted inputs.
-  std::vector<FILE*> files;
-  std::vector<std::unique_ptr<FileSource>> sources;
-  std::vector<ByteSource*> inputs;
-  for (const std::string& path : sorted_paths) {
-    FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot reopen %s\n", path.c_str());
-      return 1;
-    }
-    files.push_back(file);
-    sources.push_back(std::make_unique<FileSource>(file));
-    inputs.push_back(sources.back().get());
-  }
-  FILE* output = std::fopen(output_path.c_str(), "wb");
-  if (output == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", output_path.c_str());
-    return 1;
-  }
-  FileSink sink(output);
+  auto sink = FileByteSink::Open(output_path);
+  if (!sink.ok()) return fail(sink.status());
   MergeOptions options;
   options.order = spec;
   options.text_policy = concat_text ? MergeOptions::TextPolicy::kConcat
                                     : MergeOptions::TextPolicy::kPreferLeft;
   options.apply_update_ops = updates;
   MergeStats stats;
-  Status status = StructuralMerge(inputs, &sink, options, &stats);
-  for (FILE* file : files) std::fclose(file);
-  std::fclose(output);
-  for (const std::string& path : sorted_paths) std::remove(path.c_str());
-  if (!status.ok()) {
-    std::fprintf(stderr, "merge failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
+  Status status = StructuralMerge(inputs, sink.value().get(), options, &stats);
+  if (status.ok()) status = sink.value()->Close();
+  if (!status.ok()) return fail(status);
+  for (const std::string& path : temp_paths) std::remove(path.c_str());
   if (show_stats) {
     std::fprintf(stderr,
                  "matched %llu, first-input-only %llu, "

@@ -41,10 +41,6 @@
 //                         length on random input, a single run on
 //                         nearly-sorted input; output is byte-identical
 //                         either way). See docs/RUN_FORMATION.md
-//   --stream              pull sorted output incrementally through the
-//                         SortedStream API instead of the eager Sort call;
-//                         output bytes are identical, and the stats gain
-//                         time_to_first_byte_ms
 //   --graceful            enable graceful degeneration into merge sort
 //   --scope TAG           XSort mode: only sort children of TAG elements
 //                         (repeatable)
@@ -74,9 +70,16 @@
 //   --progress            live one-line status on stderr, driven by the
 //                         sampler
 //
-// Working storage (stacks + sorted runs) lives in <output.xml>.work, which
-// is removed on success.
-#include <chrono>
+// The sort runs as one SortJob (service/sort_job.h), the job nexsortd runs
+// too. Working storage (stacks + sorted runs) lives in <output.xml>.work,
+// and the sorted document streams into <output.xml>.staging, which is
+// renamed onto <output.xml> only when the sort succeeds. Both are gone when
+// xmlsort exits, so a failed run leaves a previous <output.xml> as it was.
+//
+// Exit status: 0 ok; 1 an input, output or working file failed, or the
+// input is malformed; 2 usage or inconsistent options (including a memory
+// budget too small to sort in); 3 a --check, --check-only or --dtd
+// verification failed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,7 +89,6 @@
 #include "core/nexsort.h"
 #include "core/order_spec_parse.h"
 #include "core/sorted_check.h"
-#include "xml/dtd.h"
 #include "env/sort_env.h"
 #include "extmem/block_device.h"
 #include "extmem/stream.h"
@@ -94,42 +96,35 @@
 #include "obs/json_writer.h"
 #include "obs/telemetry_hub.h"
 #include "obs/tracer.h"
+#include "service/sort_job.h"
 #include "util/string_util.h"
+#include "xml/dtd.h"
 
 using namespace nexsort;
 
 namespace {
 
-// Streams stdin-independent file I/O through stdio; input/output documents
-// are ordinary files, while the working device is block-addressed.
-class FileSource final : public ByteSource {
- public:
-  explicit FileSource(FILE* file) : file_(file) {}
-  Status Read(char* buf, size_t n, size_t* out) override {
-    *out = std::fread(buf, 1, n, file_);
-    if (*out < n && std::ferror(file_)) {
-      return Status::IOError("read error on input file");
-    }
-    return Status::OK();
+// Opens `path` for reading, or exits 1.
+std::unique_ptr<FileByteSource> OpenOrExit(const std::string& path) {
+  auto file = FileByteSource::Open(path);
+  if (!file.ok()) {
+    std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
+    std::exit(1);
   }
+  return std::move(file).value();
+}
 
- private:
-  FILE* file_;
-};
-
-class FileSink final : public ByteSink {
- public:
-  explicit FileSink(FILE* file) : file_(file) {}
-  Status Append(std::string_view data) override {
-    if (std::fwrite(data.data(), 1, data.size(), file_) != data.size()) {
-      return Status::IOError("write error on output file");
-    }
-    return Status::OK();
+// Writes `text` as the whole of `path`; false (after saying why) on error.
+bool WriteTextFile(const std::string& path, std::string_view text) {
+  auto sink = FileByteSink::Open(path);
+  Status status = sink.status();
+  if (status.ok()) status = sink.value()->Append(text);
+  if (status.ok()) status = sink.value()->Close();
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
   }
-
- private:
-  FILE* file_;
-};
+  return status.ok();
+}
 
 void Usage() {
   std::fprintf(
@@ -142,8 +137,7 @@ void Usage() {
       "memory:  [--memory-mb M] [--block-kb B] [--threshold-blocks T]\n"
       "         [--sort-memory-blocks N] [--cache-blocks N] [--readahead N]\n"
       "         [--threads N] [--prefetch-depth K]\n"
-      "         [--run-formation quicksort|replacement] [--graceful]"
-      " [--stream]\n"
+      "         [--run-formation quicksort|replacement] [--graceful]\n"
       "output:  [--record-order ATTR] [--strip-attr ATTR] [--dtd FILE]"
       " [--pretty]\n"
       "         [--check] [--check-only]\n"
@@ -161,7 +155,9 @@ int main(int argc, char** argv) {
   rule.element = "*";
   rule.source = KeySource::kAttribute;
   rule.argument = "id";
-  int depth_limit = 0;
+  // The parser fills the job's sort options in place.
+  SortJob job;
+  NexSortOptions& options = job.options;
   uint64_t memory_mb = 64;
   uint64_t block_kb = 64;
   uint64_t threshold_blocks = 2;
@@ -170,9 +166,6 @@ int main(int argc, char** argv) {
   uint64_t cache_readahead = 0;
   uint64_t threads = 0;
   uint64_t prefetch_depth = 0;
-  bool graceful = false;
-  bool stream_mode = false;
-  RunFormationPolicy run_formation = RunFormationPolicy::kQuicksortChunks;
   bool show_stats = false;
   std::string stats_json_path;
   std::string trace_out_path;
@@ -182,12 +175,8 @@ int main(int argc, char** argv) {
   bool progress = false;
   bool check_output = false;
   bool check_only = false;
-  bool pretty = false;
   std::string order_spec_text;
   std::string dtd_path;
-  std::vector<std::string> scope_tags;
-  std::string record_order;
-  std::string strip_attr;
   std::string input_path;
   std::string output_path;
 
@@ -213,7 +202,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--descending") {
       rule.descending = true;
     } else if (arg == "--depth-limit") {
-      depth_limit = std::atoi(next());
+      options.depth_limit = std::atoi(next());
     } else if (arg == "--memory-mb") {
       memory_mb = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--block-kb") {
@@ -233,29 +222,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--run-formation") {
       std::string policy = next();
       if (policy == "quicksort" || policy == "quicksort_chunks") {
-        run_formation = RunFormationPolicy::kQuicksortChunks;
+        options.run_formation = RunFormationPolicy::kQuicksortChunks;
       } else if (policy == "replacement" ||
                  policy == "replacement_selection") {
-        run_formation = RunFormationPolicy::kReplacementSelection;
+        options.run_formation = RunFormationPolicy::kReplacementSelection;
       } else {
         std::fprintf(stderr, "unknown --run-formation policy '%s'\n",
                      policy.c_str());
         return 2;
       }
-    } else if (arg == "--stream") {
-      stream_mode = true;
     } else if (arg == "--graceful") {
-      graceful = true;
+      options.graceful_degeneration = true;
     } else if (arg == "--scope") {
-      scope_tags.emplace_back(next());
+      options.sort_scope_tags.emplace_back(next());
     } else if (arg == "--record-order") {
-      record_order = next();
+      options.record_order_attribute = next();
     } else if (arg == "--strip-attr") {
-      strip_attr = next();
+      options.strip_attribute = next();
     } else if (arg == "--dtd") {
       dtd_path = next();
     } else if (arg == "--pretty") {
-      pretty = true;
+      options.pretty_output = true;
     } else if (arg == "--check") {
       check_output = true;
     } else if (arg == "--check-only") {
@@ -294,7 +281,7 @@ int main(int argc, char** argv) {
   }
   if (input_path.empty() || (output_path.empty() && !check_only)) Usage();
 
-  OrderSpec spec;
+  OrderSpec& spec = options.order;
   if (!order_spec_text.empty()) {
     auto parsed = ParseOrderSpec(order_spec_text);
     if (!parsed.ok()) {
@@ -307,14 +294,8 @@ int main(int argc, char** argv) {
   }
 
   if (check_only) {
-    FILE* input = std::fopen(input_path.c_str(), "rb");
-    if (input == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
-      return 1;
-    }
-    FileSource source(input);
-    auto report = CheckSorted(&source, spec, depth_limit);
-    std::fclose(input);
+    auto report = CheckSorted(OpenOrExit(input_path).get(), spec,
+                              options.depth_limit);
     if (!report.ok()) {
       std::fprintf(stderr, "check failed: %s\n",
                    report.status().ToString().c_str());
@@ -331,53 +312,28 @@ int main(int argc, char** argv) {
 
   size_t block_size = static_cast<size_t>(block_kb) * 1024;
   uint64_t memory_blocks = memory_mb * 1024 * 1024 / block_size;
-  if (memory_blocks < 8 + cache_blocks) {
-    std::fprintf(stderr,
-                 "memory budget too small: need >= 8 blocks plus the "
-                 "%llu cache frames\n",
-                 static_cast<unsigned long long>(cache_blocks));
-    return 2;
-  }
-  if (cache_readahead > 0 && cache_blocks == 0) {
-    std::fprintf(stderr, "--readahead needs --cache-blocks\n");
-    return 2;
-  }
   if (threads > 64) {
     std::fprintf(stderr, "--threads capped at 64\n");
     return 2;
   }
 
   Dtd dtd;
-  bool have_dtd = false;
   if (!dtd_path.empty()) {
-    FILE* dtd_file = std::fopen(dtd_path.c_str(), "rb");
-    if (dtd_file == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", dtd_path.c_str());
+    std::string dtd_text;
+    Status read = ReadFile(dtd_path, &dtd_text);
+    if (!read.ok()) {
+      std::fprintf(stderr, "%s\n", read.ToString().c_str());
       return 1;
     }
-    std::string dtd_text;
-    char chunk[4096];
-    size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), dtd_file)) > 0) {
-      dtd_text.append(chunk, got);
-    }
-    std::fclose(dtd_file);
     auto parsed_dtd = Dtd::Parse(dtd_text);
     if (!parsed_dtd.ok()) {
       std::fprintf(stderr, "%s\n", parsed_dtd.status().ToString().c_str());
       return 2;
     }
     dtd = std::move(*parsed_dtd);
-    have_dtd = true;
+    options.dtd = &dtd;
     // Validate the input before doing any sorting work.
-    FILE* check = std::fopen(input_path.c_str(), "rb");
-    if (check == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
-      return 1;
-    }
-    FileSource check_source(check);
-    auto report = dtd.Validate(&check_source);
-    std::fclose(check);
+    auto report = dtd.Validate(OpenOrExit(input_path).get());
     if (!report.ok()) {
       std::fprintf(stderr, "DTD validation failed: %s\n",
                    report.status().ToString().c_str());
@@ -390,13 +346,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  FILE* input = std::fopen(input_path.c_str(), "rb");
-  if (input == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
-    return 1;
-  }
-
-  std::string work_path = output_path + ".work";
+  // Declared before the env, so the env's file is closed before this
+  // removes it on every return below.
+  struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() { std::remove(path.c_str()); }
+  } work_file{output_path + ".work"};
   bool want_telemetry = show_stats || !stats_json_path.empty() ||
                         !trace_out_path.empty() || !chrome_trace_path.empty();
   Tracer tracer;
@@ -410,7 +365,7 @@ int main(int argc, char** argv) {
   SortEnvOptions env_options;
   env_options.block_size = block_size;
   env_options.memory_blocks = memory_blocks;
-  env_options.file_path = work_path;
+  env_options.file_path = work_file.path;
   env_options.sort_memory_blocks = sort_memory_blocks;
   env_options.cache = {.frames = cache_blocks, .readahead = cache_readahead};
   env_options.parallel.threads = static_cast<uint32_t>(threads);
@@ -429,15 +384,6 @@ int main(int argc, char** argv) {
     return usage ? 2 : 1;
   }
   std::unique_ptr<SortEnv> env = std::move(env_or).value();
-  // Opened only once the options are known good, so a usage error never
-  // truncates an existing output file.
-  FILE* output = std::fopen(output_path.c_str(), "wb");
-  if (output == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", output_path.c_str());
-    std::fclose(input);
-    std::remove(work_path.c_str());
-    return 1;
-  }
 
   if (!timeline_out_path.empty()) {
     JsonWriter env_json;
@@ -456,83 +402,28 @@ int main(int argc, char** argv) {
     env->telemetry()->AddSink(std::make_unique<ProgressSink>());
   }
 
-  NexSortOptions options;
-  options.order = spec;
-  options.pretty_output = pretty;
-  if (have_dtd) options.dtd = &dtd;
-  options.depth_limit = depth_limit;
   options.sort_threshold = threshold_blocks * block_size;
-  options.graceful_degeneration = graceful;
-  options.sort_scope_tags = scope_tags;
-  options.record_order_attribute = record_order;
-  options.strip_attribute = strip_attr;
-  options.run_formation = run_formation;
-  NexSorter sorter(env.get(), options);
-
-  FileSource source(input);
-  FileSink sink(output);
-  double time_to_first_byte_ms = 0.0;
-  double sort_wall_ms = 0.0;
-  Status status;
-  {
-    auto started = std::chrono::steady_clock::now();
-    auto elapsed_ms = [&started]() {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - started)
-          .count();
-    };
-    if (stream_mode) {
-      auto stream_or = sorter.SortStream(&source);
-      status = stream_or.status();
-      if (status.ok()) {
-        std::unique_ptr<SortedStream> stream = std::move(stream_or).value();
-        std::string_view chunk;
-        bool first = true;
-        while (true) {
-          auto more = stream->Next(&chunk);
-          if (!more.ok()) {
-            status = more.status();
-            break;
-          }
-          if (!*more) break;
-          if (first) {
-            first = false;
-            time_to_first_byte_ms = elapsed_ms();
-          }
-          status = sink.Append(chunk);
-          if (!status.ok()) break;
-        }
-      }
-    } else {
-      status = sorter.Sort(&source, &sink);
-    }
-    sort_wall_ms = elapsed_ms();
-  }
-  std::fclose(input);
-  std::fclose(output);
+  job.inputs.emplace_back().path = input_path;
+  job.output.path = output_path;
+  SortJobResult result;
+  Status status = job.Run(env->NewSession(), &result);
   // Stop the sampler before reporting: the final sample lands in the
   // timeline stream (and samples() retention) and the progress line ends.
   if (env->telemetry() != nullptr) env->telemetry()->StopSampler();
   if (!status.ok()) {
     std::fprintf(stderr, "sort failed: %s\n", status.ToString().c_str());
-    return 1;
+    // The sort rejects a budget too small for it as an invalid option.
+    return status.IsInvalidArgument() ? 2 : 1;
   }
-  std::remove(work_path.c_str());
 
-  if (check_output && !scope_tags.empty()) {
+  if (check_output && !options.sort_scope_tags.empty()) {
     std::fprintf(stderr,
                  "--check skipped: scoped output is not fully sorted\n");
     check_output = false;
   }
   if (check_output) {
-    FILE* verify = std::fopen(output_path.c_str(), "rb");
-    if (verify == nullptr) {
-      std::fprintf(stderr, "cannot reopen %s\n", output_path.c_str());
-      return 1;
-    }
-    FileSource source(verify);
-    auto report = CheckSorted(&source, spec, depth_limit);
-    std::fclose(verify);
+    auto report =
+        CheckSorted(OpenOrExit(output_path).get(), spec, options.depth_limit);
     if (!report.ok() || !report->sorted) {
       std::fprintf(stderr, "output verification FAILED: %s\n",
                    report.ok() ? report->violation.c_str()
@@ -543,7 +434,7 @@ int main(int argc, char** argv) {
   }
 
   if (show_stats) {
-    const NexSortStats& stats = sorter.stats();
+    const NexSortStats& stats = result.nexsort;
     std::fprintf(stderr,
                  "elements %s, text nodes %s, k=%llu, height %llu\n"
                  "subtree sorts %llu (internal %llu, external %llu), "
@@ -563,7 +454,7 @@ int main(int argc, char** argv) {
           stderr,
           "run formation (%s): %llu runs, avg %.1f blocks, max %llu "
           "blocks, %llu merge passes\n",
-          RunFormationPolicyName(run_formation),
+          RunFormationPolicyName(options.run_formation),
           static_cast<unsigned long long>(
               stats.sorts.run_formation.runs_formed),
           stats.sorts.run_formation.avg_run_blocks(),
@@ -583,12 +474,10 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(plan.fanin_max),
           static_cast<double>(plan.actual_bytes) / (1024.0 * 1024.0));
     }
-    if (stream_mode) {
-      std::fprintf(stderr, "streamed: first byte at %.1f ms of %.1f ms\n",
-                   time_to_first_byte_ms, sort_wall_ms);
-    }
+    std::fprintf(stderr, "first byte at %.1f ms of %.1f ms\n",
+                 result.time_to_first_byte_ms, result.wall_ms);
     if (cache_blocks > 0) {
-      CacheStats cache = sorter.cache_stats();
+      CacheStats cache = env->cache_stats();
       std::fprintf(stderr,
                    "cache: %llu frames, %llu hits / %llu misses "
                    "(%.1f%% hit rate), %llu evictions, %llu writebacks, "
@@ -602,7 +491,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(cache.prefetches));
     }
     if (threads > 0 || prefetch_depth > 0) {
-      ParallelStats par = sorter.parallel_stats();
+      const ParallelStats& par = result.parallel;
       std::fprintf(stderr,
                    "parallel: %llu threads, %llu spills, "
                    "%llu partitioned sorts, %llu prefetched blocks\n",
@@ -649,7 +538,7 @@ int main(int argc, char** argv) {
     json.Key("readahead");
     json.Uint(cache_readahead);
     json.Key("counters");
-    sorter.cache_stats().ToJson(&json);
+    env->cache_stats().ToJson(&json);
     json.EndObject();
     json.Key("parallel");
     json.BeginObject();
@@ -660,7 +549,7 @@ int main(int argc, char** argv) {
     json.Key("prefetch_depth");
     json.Uint(prefetch_depth);
     json.Key("counters");
-    sorter.parallel_stats().ToJson(&json);
+    result.parallel.ToJson(&json);
     json.EndObject();
     // Per-session attribution: xmlsort runs one job, so one entry, but
     // the array shape is shared with multi-session envs (see
@@ -669,13 +558,13 @@ int main(int argc, char** argv) {
     env->SessionsToJson(&json);
     // Run-formation + delivery summary for this job (docs/RUN_FORMATION.md):
     // run-length accounting comes from the external sorts' run formation,
-    // time_to_first_byte_ms is 0 unless --stream pulled the output.
+    // the timings from the job.
     {
-      const RunFormationStats& runs = sorter.stats().sorts.run_formation;
+      const RunFormationStats& runs = result.nexsort.sorts.run_formation;
       json.Key("sort");
       json.BeginObject();
       json.Key("run_formation");
-      json.String(RunFormationPolicyName(run_formation));
+      json.String(RunFormationPolicyName(options.run_formation));
       json.Key("runs_formed");
       json.Uint(runs.runs_formed);
       json.Key("avg_run_blocks");
@@ -683,47 +572,33 @@ int main(int argc, char** argv) {
       json.Key("max_run_blocks");
       json.Uint(runs.max_run_blocks);
       json.Key("merge_passes");
-      json.Uint(sorter.stats().sorts.merge_passes);
+      json.Uint(result.nexsort.sorts.merge_passes);
       // Merge-schedule accounting (docs/MERGE_PLANNING.md): only present
       // when at least one external sort actually ran merge steps.
-      const MergePlanStats& plan = sorter.stats().sorts.merge_plan;
+      const MergePlanStats& plan = result.nexsort.sorts.merge_plan;
       if (plan.plans > 0) {
         json.Key("merge_plan");
         plan.ToJson(&json);
       }
-      json.Key("streaming");
-      json.Bool(stream_mode);
       json.Key("time_to_first_byte_ms");
-      json.Double(time_to_first_byte_ms);
+      json.Double(result.time_to_first_byte_ms);
       json.Key("wall_ms");
-      json.Double(sort_wall_ms);
+      json.Double(result.wall_ms);
       json.EndObject();
     }
     json.Key("nexsort");
-    sorter.stats().ToJson(&json);
+    result.nexsort.ToJson(&json);
     json.Key("telemetry");
     tracer.ToJson(&json);
     json.EndObject();
-    FILE* out = std::fopen(stats_json_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", stats_json_path.c_str());
+    if (!WriteTextFile(stats_json_path, std::move(json).Take() + "\n")) {
       return 1;
     }
-    std::string text = std::move(json).Take();
-    text.push_back('\n');
-    std::fwrite(text.data(), 1, text.size(), out);
-    std::fclose(out);
   }
 
-  if (!trace_out_path.empty()) {
-    FILE* out = std::fopen(trace_out_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", trace_out_path.c_str());
-      return 1;
-    }
-    std::string text = tracer.ToJsonl();
-    std::fwrite(text.data(), 1, text.size(), out);
-    std::fclose(out);
+  if (!trace_out_path.empty() &&
+      !WriteTextFile(trace_out_path, tracer.ToJsonl())) {
+    return 1;
   }
 
   if (!chrome_trace_path.empty()) {
@@ -733,15 +608,9 @@ int main(int argc, char** argv) {
       exporter.AddCounterTrack("env gauges", env->telemetry()->samples(),
                                env->telemetry()->epoch());
     }
-    FILE* out = std::fopen(chrome_trace_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", chrome_trace_path.c_str());
+    if (!WriteTextFile(chrome_trace_path, exporter.ToJsonString() + "\n")) {
       return 1;
     }
-    std::string text = exporter.ToJsonString();
-    text.push_back('\n');
-    std::fwrite(text.data(), 1, text.size(), out);
-    std::fclose(out);
   }
   return 0;
 }

@@ -7,28 +7,10 @@
 #include <cstdlib>
 #include <string>
 
+#include "extmem/stream.h"
 #include "xml/doc_stats.h"
 
 using namespace nexsort;
-
-namespace {
-
-class FileSource final : public ByteSource {
- public:
-  explicit FileSource(FILE* file) : file_(file) {}
-  Status Read(char* buf, size_t n, size_t* out) override {
-    *out = std::fread(buf, 1, n, file_);
-    if (*out < n && std::ferror(file_)) {
-      return Status::IOError("read error");
-    }
-    return Status::OK();
-  }
-
- private:
-  FILE* file_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   uint64_t block_kb = 64;
@@ -48,14 +30,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: xmlstat [--block-kb B] <input.xml>\n");
     return 2;
   }
-  FILE* input = std::fopen(path.c_str(), "rb");
-  if (input == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  auto input = FileByteSource::Open(path);
+  if (!input.ok()) {
+    std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
     return 1;
   }
-  FileSource source(input);
-  auto stats = ProfileDocument(&source);
-  std::fclose(input);
+  auto stats = ProfileDocument(input.value().get());
   if (!stats.ok()) {
     std::fprintf(stderr, "profile failed: %s\n",
                  stats.status().ToString().c_str());

@@ -317,11 +317,11 @@ def check_merge_plan(plan, where, runs_formed=None):
               f"{where}: input_runs exceeds runs_formed {runs_formed}")
 
 
-def check_sort_block(sort, expect_policy=None, expect_streaming=None):
+def check_sort_block(sort, expect_policy=None):
     """Validate the stats.sort block: run-formation counters plus the
-    streaming output measurements (docs/RUN_FORMATION.md)."""
+    job's output timings (docs/RUN_FORMATION.md)."""
     for key in ("run_formation", "runs_formed", "avg_run_blocks",
-                "max_run_blocks", "merge_passes", "streaming",
+                "max_run_blocks", "merge_passes",
                 "time_to_first_byte_ms", "wall_ms"):
         check(key in sort, f"stats.sort: missing key '{key}'")
     # merge_plan accounting exists exactly when merge steps actually ran.
@@ -355,28 +355,21 @@ def check_sort_block(sort, expect_policy=None, expect_streaming=None):
             check(sort.get("merge_passes") == 0,
                   "stats.sort: single run but merge_passes != 0 "
                   "(the merge phase must be skipped)")
-    check(isinstance(sort.get("streaming"), bool),
-          "stats.sort: streaming is not a bool")
-    if expect_streaming is not None:
-        check(sort.get("streaming") is expect_streaming,
-              f"stats.sort: streaming is {sort.get('streaming')!r}, "
-              f"expected {expect_streaming}")
-    for key in ("time_to_first_byte_ms", "wall_ms"):
-        value = sort.get(key)
-        check(isinstance(value, (int, float)) and value >= 0,
-              f"stats.sort: {key} is not a non-negative number")
-    if sort.get("streaming") is True:
-        ttfb = sort.get("time_to_first_byte_ms", -1)
-        wall = sort.get("wall_ms", 0)
-        check(isinstance(ttfb, (int, float)) and ttfb > 0,
-              "stats.sort: streaming run recorded no time_to_first_byte_ms")
-        if isinstance(ttfb, (int, float)) and isinstance(wall, (int, float)):
-            check(ttfb <= wall,
-                  "stats.sort: time_to_first_byte_ms exceeds wall_ms")
+    # Every sort job streams its output, so every run has a first byte,
+    # and it surfaces within the job's wall time.
+    ttfb = sort.get("time_to_first_byte_ms")
+    wall = sort.get("wall_ms")
+    check(isinstance(wall, (int, float)) and wall >= 0,
+          "stats.sort: wall_ms is not a non-negative number")
+    check(isinstance(ttfb, (int, float)) and ttfb > 0,
+          "stats.sort: time_to_first_byte_ms is not a positive number")
+    if isinstance(ttfb, (int, float)) and isinstance(wall, (int, float)):
+        check(ttfb <= wall,
+              "stats.sort: time_to_first_byte_ms exceeds wall_ms")
 
 
 def check_stats(stats, cache_enabled=False, parallel_enabled=False,
-                expect_policy=None, expect_streaming=None):
+                expect_policy=None):
     check(stats.get("schema") == "nexsort-stats-v1",
           f"stats schema is {stats.get('schema')!r}, "
           "expected 'nexsort-stats-v1'")
@@ -385,8 +378,7 @@ def check_stats(stats, cache_enabled=False, parallel_enabled=False,
                 "parallel", "sessions", "sort", "nexsort", "telemetry"):
         check(key in stats, f"stats: missing top-level key '{key}'")
     if "sort" in stats:
-        check_sort_block(stats["sort"], expect_policy=expect_policy,
-                         expect_streaming=expect_streaming)
+        check_sort_block(stats["sort"], expect_policy=expect_policy)
     nexsort = stats.get("nexsort", {})
     sorts = nexsort.get("sorts", {}) if isinstance(nexsort, dict) else {}
     for key in ("runs_formed", "avg_run_blocks", "max_run_blocks",
@@ -505,16 +497,10 @@ def check_service_stats(stats):
         if job.get("state") == "failed":
             check(isinstance(job.get("error"), str) and job.get("error"),
                   f"{where}: failed job carries no error text")
-        if "streamed" in job:
-            check(job.get("streamed") is True,
-                  f"{where}: streamed must be true when present")
-            check(job.get("kind") == "sort",
-                  f"{where}: streamed on a non-sort job")
-            if job.get("state") == "done":
-                ttfb = job.get("time_to_first_byte_ms")
-                check(isinstance(ttfb, (int, float)) and ttfb >= 0,
-                      f"{where}: streamed done job is missing "
-                      "time_to_first_byte_ms")
+        if job.get("kind") == "sort" and job.get("state") == "done":
+            ttfb = job.get("time_to_first_byte_ms")
+            check(isinstance(ttfb, (int, float)) and ttfb >= 0,
+                  f"{where}: done sort job is missing time_to_first_byte_ms")
 
 
 def check_trace(path):
@@ -649,33 +635,31 @@ def main():
         workdir = Path(args.keep) if args.keep else Path(tmp)
         workdir.mkdir(parents=True, exist_ok=True)
 
-        # Six runs: the default (cache and pipeline off, the stats blocks
+        # Five runs: the default (cache and pipeline off, the stats blocks
         # must say so), a cached run (cache counters populated and mirrored
         # into the telemetry), a parallel run (worker threads + merge
         # prefetching; parallel counters populated, output byte-identical
         # to the serial runs), a sampled run (live sampler on, timeline
         # JSONL validated record-by-record; sampling must not change the
-        # sorted bytes either), a replacement-selection run (the sort block
-        # names the policy; output still byte-identical), and a streamed
-        # run (pull-based output; time_to_first_byte_ms recorded and
-        # bounded by the wall time, bytes identical again).
+        # sorted bytes either), and a replacement-selection run (the sort
+        # block names the policy; output still byte-identical). Every run
+        # streams its output, so each records a time to first byte bounded
+        # by its wall time.
         sample_interval_ms = 2
         outputs = {}
         for (label, extra, cache_enabled, parallel_enabled,
-             expect_policy, expect_streaming) in (
-            ("default", [], False, False, "quicksort_chunks", False),
+             expect_policy) in (
+            ("default", [], False, False, "quicksort_chunks"),
             ("cached", ["--cache-blocks", "32", "--readahead", "4"],
-             True, False, "quicksort_chunks", False),
+             True, False, "quicksort_chunks"),
             ("parallel", ["--cache-blocks", "32", "--threads", "2",
                           "--prefetch-depth", "4"], True, True,
-             "quicksort_chunks", False),
+             "quicksort_chunks"),
             ("sampled", ["--cache-blocks", "32", "--threads", "2",
                          "--sample-interval-ms", str(sample_interval_ms)],
-             True, True, "quicksort_chunks", False),
+             True, True, "quicksort_chunks"),
             ("replacement", ["--run-formation", "replacement"],
-             False, False, "replacement_selection", False),
-            ("streamed", ["--stream"], False, False,
-             "quicksort_chunks", True),
+             False, False, "replacement_selection"),
         ):
             stats_path = workdir / f"stats-{label}.json"
             trace_path = workdir / f"trace-{label}.jsonl"
@@ -705,8 +689,7 @@ def main():
                 return 1
             check_stats(stats, cache_enabled=cache_enabled,
                         parallel_enabled=parallel_enabled,
-                        expect_policy=expect_policy,
-                        expect_streaming=expect_streaming)
+                        expect_policy=expect_policy)
             check(output_path.exists() and output_path.stat().st_size > 0,
                   f"xmlsort ({label}) produced no output document")
             check_trace(trace_path)

@@ -459,8 +459,8 @@ StatusOr<std::unique_ptr<SortedStream>> NexSorter::SortUnits(
   // rest goes to subtree sorts (one block of which is the run writer on
   // the internal path).
   ASSIGN_OR_RETURN(sort_context_.sort_options,
-                   session_.SortOptions("NEXSORT", 8, 3,
-                                        options_.run_formation));
+                   session_.SortOptions("NEXSORT", kMinMemoryBlocks,
+                                        kStackBlocks, options_.run_formation));
   uint64_t sort_blocks = sort_context_.sort_options.memory_blocks;
   sort_capacity_ = (sort_blocks - 1) * device_->block_size();
   // Fragmentation must leave the end-tag region inside the internal sort

@@ -125,10 +125,17 @@ using UnitEmitterFactory = std::function<std::unique_ptr<UnitEmitter>(
 
 /// One-document sorter running inside a SortEnv. The env supplies working
 /// storage (stacks + sorted runs) and caps internal memory at M blocks.
-/// Requires M >= 8 available blocks (3 for the stacks, the rest for
-/// subtree sorts) on top of whatever the env's cache has reserved.
+/// Requires M >= kMinMemoryBlocks available blocks (kStackBlocks for the
+/// stacks, the rest for subtree sorts) on top of whatever the env's cache
+/// has reserved.
 class NexSorter {
  public:
+  /// Budget blocks the sorting phase's stacks hold: data stack 1, path
+  /// stack 2.
+  static constexpr uint64_t kStackBlocks = 3;
+  /// The least budget a sort starts with; less fails with InvalidArgument.
+  static constexpr uint64_t kMinMemoryBlocks = 8;
+
   /// Run in a fresh session of `env` (not owned; must outlive the sorter).
   NexSorter(SortEnv* env, NexSortOptions options);
 

@@ -170,35 +170,32 @@ SortEnv::Session::Session(SortEnv* env)
   env_->RegisterSession(this);
 }
 
-SortEnv::Session::Session(Session&& other) noexcept
-    : env_(other.env_),
-      id_(other.id_),
-      tracer_(other.tracer_),
-      start_seconds_(other.start_seconds_),
-      start_(other.start_),
-      device_(std::move(other.device_)),
-      run_store_(std::move(other.run_store_)),
-      parallel_(std::move(other.parallel_)),
-      cancel_(std::move(other.cancel_)) {
-  other.env_ = nullptr;
-  if (env_ != nullptr) env_->MoveSession(&other, this);
+SortEnv::Session::Session(Session&& other) noexcept : env_(nullptr) {
+  *this = std::move(other);
 }
 
 SortEnv::Session& SortEnv::Session::operator=(Session&& other) noexcept {
   if (this == &other) return *this;
   if (env_ != nullptr) env_->UnregisterSession(this);
-  env_ = other.env_;
-  id_ = other.id_;
-  tracer_ = other.tracer_;
-  start_seconds_ = other.start_seconds_;
-  start_ = other.start_;
-  device_ = std::move(other.device_);
-  run_store_ = std::move(other.run_store_);
-  parallel_ = std::move(other.parallel_);
-  cancel_ = std::move(other.cancel_);
-  other.env_ = nullptr;
-  if (env_ != nullptr) env_->MoveSession(&other, this);
+  if (other.env_ != nullptr) {
+    other.env_->MoveSession(&other, this);
+  } else {
+    TakeFrom(&other);
+  }
   return *this;
+}
+
+void SortEnv::Session::TakeFrom(Session* other) {
+  env_ = other->env_;
+  id_ = other->id_;
+  tracer_ = other->tracer_;
+  start_seconds_ = other->start_seconds_;
+  start_ = other->start_;
+  device_ = std::move(other->device_);
+  run_store_ = std::move(other->run_store_);
+  parallel_ = std::move(other->parallel_);
+  cancel_ = std::move(other->cancel_);
+  other->env_ = nullptr;
 }
 
 SortEnv::Session::~Session() {
@@ -235,9 +232,11 @@ StatusOr<ExtSortOptions> SortEnv::Session::SortOptions(
   options.memory_blocks = free_blocks;
   uint64_t pinned = env_->options().sort_memory_blocks;
   if (pinned != 0) {
-    if (pinned < 4 || pinned > free_blocks) {
-      return Status::InvalidArgument("sort_memory_blocks must be in [4, " +
-                                     std::to_string(free_blocks) + "]");
+    if (pinned < kMinSortMemoryBlocks || pinned > free_blocks) {
+      return Status::InvalidArgument(
+          "sort_memory_blocks must be in [" +
+          std::to_string(kMinSortMemoryBlocks) + ", " +
+          std::to_string(free_blocks) + "]");
     }
     options.memory_blocks = pinned;
   }
@@ -272,6 +271,7 @@ void SortEnv::RegisterSession(Session* session) {
 
 void SortEnv::MoveSession(Session* from, Session* to) {
   MutexLock lock(&sessions_mutex_);
+  to->TakeFrom(from);
   std::replace(active_sessions_.begin(), active_sessions_.end(), from, to);
 }
 

@@ -142,6 +142,9 @@ struct SortEnvOptions {
 /// domain; run any number of jobs in it, serially or concurrently.
 class SortEnv {
  public:
+  /// The least sort memory a pinned sort_memory_blocks may name.
+  static constexpr uint64_t kMinSortMemoryBlocks = 4;
+
   /// Validates the options and composes the stack. Fails when the backing
   /// file cannot be opened, the budget cannot fund the cache frames, or
   /// the knobs are inconsistent (readahead/prefetch without cache frames).
@@ -184,8 +187,8 @@ class SortEnv {
     /// pool, buffer pool and cancellation token, `policy`, and the blocks
     /// the budget has left less the `held_blocks` the sorter keeps for
     /// itself — or the env's sort_memory_blocks when that pins a figure,
-    /// which must lie in [4, that]. Fails, naming `sorter`, when the budget
-    /// has fewer than `min_blocks` left.
+    /// which must lie in [kMinSortMemoryBlocks, that]. Fails, naming
+    /// `sorter`, when the budget has fewer than `min_blocks` left.
     [[nodiscard]] StatusOr<ExtSortOptions> SortOptions(
         std::string_view sorter, uint64_t min_blocks, uint64_t held_blocks,
         RunFormationPolicy policy) const;
@@ -244,6 +247,9 @@ class SortEnv {
    private:
     friend class SortEnv;
     explicit Session(SortEnv* env);
+
+    /// Take every member of `other`, leaving it moved-from.
+    void TakeFrom(Session* other);
 
     SortEnv* env_;  // null after being moved from
     uint64_t id_ = 0;
@@ -324,6 +330,9 @@ class SortEnv {
   explicit SortEnv(SortEnvOptions options);
 
   void RegisterSession(Session* session);
+  /// Move `from` into `to` and put `to` in its place among the live
+  /// sessions, under the registry lock, so the sampler never reads a
+  /// session mid-move.
   void MoveSession(Session* from, Session* to);
   void UnregisterSession(Session* session);
 

@@ -1,7 +1,11 @@
 #include "extmem/stream.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/status.h"
 
@@ -12,6 +16,70 @@ Status StringByteSource::Read(char* buf, size_t n, size_t* out) {
   std::memcpy(buf, data_.data() + pos_, take);
   pos_ += take;
   *out = take;
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<FileByteSource>> FileByteSource::Open(
+    const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  struct stat st{};
+  if (file != nullptr &&
+      (::fstat(::fileno(file), &st) != 0 || S_ISDIR(st.st_mode))) {
+    std::fclose(file);
+    file = nullptr;
+  }
+  if (file == nullptr) return Status::IOError("cannot open " + path);
+  return std::unique_ptr<FileByteSource>(
+      new FileByteSource(file, static_cast<uint64_t>(st.st_size)));
+}
+
+Status FileByteSource::Read(char* buf, size_t n, size_t* out) {
+  *out = std::fread(buf, 1, n, file_);
+  if (*out < n && std::ferror(file_)) {
+    return Status::IOError(std::string("reading input: ") +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status ReadFile(const std::string& path, std::string* out) {
+  ASSIGN_OR_RETURN(std::unique_ptr<FileByteSource> file,
+                   FileByteSource::Open(path));
+  out->resize(file->size());
+  size_t got = 0;
+  RETURN_IF_ERROR(file->Read(out->data(), out->size(), &got));
+  out->resize(got);
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<FileByteSink>> FileByteSink::Open(
+    const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  std::setvbuf(file, nullptr, _IOFBF, 64 * 1024);
+  return std::unique_ptr<FileByteSink>(new FileByteSink(file, path));
+}
+
+FileByteSink::~FileByteSink() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+Status FileByteSink::Append(std::string_view data) {
+  if (file_ == nullptr) return Status::InvalidArgument("sink already closed");
+  if (std::fwrite(data.data(), 1, data.size(), file_) != data.size()) {
+    return Status::IOError("writing " + path_ + ": " + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status FileByteSink::Close() {
+  std::FILE* file = std::exchange(file_, nullptr);
+  if (file != nullptr && std::fclose(file) != 0) {
+    return Status::IOError("closing " + path_ + ": " + std::strerror(errno));
+  }
   return Status::OK();
 }
 

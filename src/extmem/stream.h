@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "extmem/block_device.h"
 #include "extmem/memory_budget.h"
@@ -64,6 +66,57 @@ class StringByteSink final : public ByteSink {
  private:
   std::string* out_;
 };
+
+/// ByteSource over a file, read sequentially as the caller pulls (no I/O
+/// accounting: documents are ordinary files, working storage is not).
+class FileByteSource final : public ByteSource {
+ public:
+  /// Fails with IOError "cannot open <path>" when the file cannot be read.
+  [[nodiscard]] static StatusOr<std::unique_ptr<FileByteSource>> Open(
+      const std::string& path);
+  ~FileByteSource() override { std::fclose(file_); }
+
+  FileByteSource(const FileByteSource&) = delete;
+  FileByteSource& operator=(const FileByteSource&) = delete;
+
+  [[nodiscard]] Status Read(char* buf, size_t n, size_t* out) override;
+
+  /// The file's size when it was opened.
+  uint64_t size() const { return size_; }
+
+ private:
+  FileByteSource(std::FILE* file, uint64_t size) : file_(file), size_(size) {}
+
+  std::FILE* file_;
+  uint64_t size_;
+};
+
+/// ByteSink writing a file from its start (created or truncated), through
+/// a 64 KiB buffer. Close() flushes and reports the last write error; a
+/// sink destroyed unclosed closes without reporting.
+class FileByteSink final : public ByteSink {
+ public:
+  [[nodiscard]] static StatusOr<std::unique_ptr<FileByteSink>> Open(
+      const std::string& path);
+  ~FileByteSink() override;
+
+  FileByteSink(const FileByteSink&) = delete;
+  FileByteSink& operator=(const FileByteSink&) = delete;
+
+  [[nodiscard]] Status Append(std::string_view data) override;
+  [[nodiscard]] Status Close();
+
+ private:
+  FileByteSink(std::FILE* file, std::string path)
+      : file_(file), path_(std::move(path)) {}
+
+  std::FILE* file_;  // null once closed
+  std::string path_;
+};
+
+/// Read the whole file at `path` into *out (IOError "cannot open <path>"
+/// when it cannot be read).
+[[nodiscard]] Status ReadFile(const std::string& path, std::string* out);
 
 /// Appends bytes to a fresh extent on a device; one block buffered.
 class BlockStreamWriter final : public ByteSink {

@@ -6,26 +6,16 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
+#include <vector>
 
+#include "extmem/stream.h"
 #include "obs/json_writer.h"
 #include "service/wire.h"
 
 namespace nexsort {
 
 namespace {
-
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("error reading " + path);
-  *out = std::move(buffer).str();
-  return Status::OK();
-}
 
 std::string ErrorResponse(const Status& status,
                           uint64_t retry_after_ms = 0) {
@@ -304,41 +294,27 @@ std::string SocketServer::HandleSubmit(const JsonValue& request) {
   job.order_text = request.GetString("order");
   job.output_path = request.GetString("output");
   job.return_output = request.GetBool("return_output", false);
-  job.stream = request.GetBool("stream", false);
 
+  // Input files are only checked at submit (SortService::Submit opens
+  // them for their sizes); the job streams them when it runs.
   job.input_text = request.GetString("input_text");
-  std::string input_path = request.GetString("input_path");
-  if (!input_path.empty()) {
-    Status read = ReadWholeFile(input_path, &job.input_text);
-    if (!read.ok()) return ErrorResponse(read);
-  }
-  const JsonValue* inputs = request.Find("input_texts");
-  if (inputs != nullptr && inputs->is_array()) {
-    for (const JsonValue& item : inputs->array_items()) {
+  job.input_path = request.GetString("input_path");
+  for (auto [key, out] : {std::pair{"input_texts", &job.input_texts},
+                           std::pair{"input_paths", &job.input_paths}}) {
+    const JsonValue* items = request.Find(key);
+    if (items == nullptr || !items->is_array()) continue;
+    for (const JsonValue& item : items->array_items()) {
       if (!item.is_string()) {
-        return ErrorResponse(
-            Status::InvalidArgument("input_texts must be strings"));
+        return ErrorResponse(Status::InvalidArgument(
+            std::string(key) + " must be strings"));
       }
-      job.input_texts.push_back(item.string_value());
-    }
-  }
-  const JsonValue* input_paths = request.Find("input_paths");
-  if (input_paths != nullptr && input_paths->is_array()) {
-    for (const JsonValue& item : input_paths->array_items()) {
-      if (!item.is_string()) {
-        return ErrorResponse(
-            Status::InvalidArgument("input_paths must be strings"));
-      }
-      std::string text;
-      Status read = ReadWholeFile(item.string_value(), &text);
-      if (!read.ok()) return ErrorResponse(read);
-      job.input_texts.push_back(std::move(text));
+      out->push_back(item.string_value());
     }
   }
   job.updates_text = request.GetString("updates_text");
   std::string updates_path = request.GetString("updates_path");
   if (!updates_path.empty()) {
-    Status read = ReadWholeFile(updates_path, &job.updates_text);
+    Status read = ReadFile(updates_path, &job.updates_text);
     if (!read.ok()) return ErrorResponse(read);
   }
 

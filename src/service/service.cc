@@ -1,28 +1,25 @@
 #include "service/service.h"
 
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
 #include "core/order_spec_parse.h"
 #include "extmem/stream.h"
-#include "merge/batch_update.h"
-#include "merge/structural_merge.h"
 #include "obs/json_writer.h"
 
 namespace nexsort {
 
 namespace {
 
-/// Budget blocks a job uses beyond its pinned sort memory: the sorting
-/// phase's data stack (1) + path stack (2), and one block of slack for the
-/// output phase's emitter/reader window (which runs after the stacks are
-/// gone but is kept inside the grant for safety).
-constexpr uint64_t kJobOverheadBlocks = 4;
+/// Budget blocks a job uses beyond its pinned sort memory: NEXSORT's
+/// sorting-phase stacks, and one block of slack for the output phase's
+/// emitter/reader window (which runs after the stacks are gone but is kept
+/// inside the grant for safety).
+constexpr uint64_t kJobOverheadBlocks = NexSorter::kStackBlocks + 1;
 
-/// NexSorter rejects pinned sort grants below this.
-constexpr uint64_t kMinSortBlocks = 4;
+/// The least pinned sort grant a session accepts.
+constexpr uint64_t kMinSortBlocks = SortEnv::kMinSortMemoryBlocks;
 
 /// A terminal job keeps its status, not its documents, so the job table
 /// stays small however many jobs the daemon runs. The documents are swapped
@@ -33,28 +30,6 @@ void ReleaseInputs(JobRequest* request, JobRequest* released) {
   released->input_text.swap(request->input_text);
   released->input_texts.swap(request->input_texts);
   released->updates_text.swap(request->updates_text);
-}
-
-Status WriteFileAtomic(ScratchNamespace* scratch, const std::string& staged,
-                       const std::string& final_path,
-                       const std::string& contents) {
-  {
-    std::ofstream out(staged, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open staging file " + staged);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    if (!out) return Status::IOError("short write to staging file " + staged);
-  }
-  std::error_code ec;
-  std::filesystem::rename(staged, final_path, ec);
-  if (ec) {
-    return Status::IOError("renaming staged output to " + final_path + ": " +
-                           ec.message());
-  }
-  // The staged path moved away; drop it from the namespace's ledger so
-  // teardown does not try to delete the delivered output.
-  (void)scratch->Remove(staged);  // NotFound-only failure is harmless here
-  return Status::OK();
 }
 
 }  // namespace
@@ -113,13 +88,9 @@ void JobStatus::ToJson(JsonWriter* writer) const {
     writer->Key("session_id");
     writer->Uint(session_id);
   }
-  if (streamed) {
-    writer->Key("streamed");
-    writer->Bool(true);
-    if (time_to_first_byte_ms >= 0) {
-      writer->Key("time_to_first_byte_ms");
-      writer->Double(time_to_first_byte_ms);
-    }
+  if (time_to_first_byte_ms >= 0) {
+    writer->Key("time_to_first_byte_ms");
+    writer->Double(time_to_first_byte_ms);
   }
   writer->EndObject();
 }
@@ -230,14 +201,17 @@ Status SortService::Submit(JobRequest request, uint64_t* job_id,
   if (!request.order_text.empty()) {
     ASSIGN_OR_RETURN(record->order, ParseOrderSpec(request.order_text));
   }
-  if (request.stream && request.kind != JobRequest::Kind::kSort) {
-    return Status::InvalidArgument("stream mode applies to sort jobs only");
-  }
 
   uint64_t input_bytes = request.input_text.size() +
                          request.updates_text.size();
   for (const std::string& text : request.input_texts) {
     input_bytes += text.size();
+  }
+  std::vector<std::string> paths = request.input_paths;
+  if (!request.input_path.empty()) paths.push_back(request.input_path);
+  for (const std::string& path : paths) {
+    ASSIGN_OR_RETURN(auto file, FileByteSource::Open(path));
+    input_bytes += file->size();
   }
 
   MutexLock guard(&lock_);
@@ -254,7 +228,6 @@ Status SortService::Submit(JobRequest request, uint64_t* job_id,
 
   record->request = std::move(request);
   record->status.id = id;
-  record->status.streamed = record->request.stream;
   record->status.kind = record->request.kind;
   record->status.tenant = record->request.tenant;
   record->status.priority = record->request.priority;
@@ -325,96 +298,51 @@ Status SortService::ExecuteJob(JobRecord* record) {
   }
 
   const JobRequest& request = record->request;
+  SortJob job;
+  job.kind = request.kind;
+  job.options.order = record->order;
+  std::vector<StringByteSource> texts;  // reserved: inputs point into it
+  texts.reserve(request.input_texts.size() + 1);
+  if (request.kind == JobRequest::Kind::kMerge) {
+    for (const std::string& text : request.input_texts) {
+      job.inputs.emplace_back().source = &texts.emplace_back(text);
+    }
+    for (const std::string& path : request.input_paths) {
+      job.inputs.emplace_back().path = path;
+    }
+  } else if (!request.input_path.empty()) {
+    job.inputs.emplace_back().path = request.input_path;
+  } else {
+    job.inputs.emplace_back().source = &texts.emplace_back(request.input_text);
+  }
+  job.updates = request.updates_text;
+
   std::string output;
-  Status result;
-  switch (request.kind) {
-    case JobRequest::Kind::kSort: {
-      NexSortOptions sort_options;
-      sort_options.order = record->order;
-      NexSorter sorter(std::move(session), std::move(sort_options));
-      StringByteSource source(request.input_text);
-      if (request.stream) {
-        // Pull-based output: drain the SortedStream chunk by chunk. The
-        // bytes are identical to the eager call; what the stream buys the
-        // job is the time_to_first_byte_ms measurement, stamped when the
-        // first sorted chunk surfaces.
-        auto begin = std::chrono::steady_clock::now();
-        auto stream = sorter.SortStream(&source);
-        result = stream.status();
-        if (result.ok()) {
-          std::string_view chunk;
-          bool first = true;
-          while (true) {
-            auto more = stream.value()->Next(&chunk);
-            if (!more.ok()) {
-              result = more.status();
-              break;
-            }
-            if (!more.value()) break;
-            if (first) {
-              first = false;
-              double ttfb = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - begin)
-                                .count();
-              MutexLock guard(&lock_);
-              record->status.time_to_first_byte_ms = ttfb;
-            }
-            output.append(chunk);
-          }
-        }
-      } else {
-        StringByteSink sink(&output);
-        result = sorter.Sort(&source, &sink);
-      }
-      break;
-    }
-    case JobRequest::Kind::kMerge: {
-      // Structural merge is one streaming pass over pre-sorted inputs: no
-      // runs, no budget blocks, nothing to cancel block-by-block — merge
-      // jobs cancel only while queued (docs/SERVICE.md).
-      std::vector<StringByteSource> sources;
-      sources.reserve(request.input_texts.size());
-      std::vector<ByteSource*> raw;
-      for (const std::string& text : request.input_texts) {
-        sources.emplace_back(text);
-      }
-      for (StringByteSource& source : sources) raw.push_back(&source);
-      MergeOptions merge_options;
-      merge_options.order = record->order;
-      merge_options.tracer = session.tracer();
-      StringByteSink sink(&output);
-      result = StructuralMerge(raw, &sink, merge_options);
-      break;
-    }
-    case JobRequest::Kind::kBatchUpdate: {
-      StringByteSource base(request.input_text);
-      StringByteSink sink(&output);
-      BatchUpdateOptions update_options;
-      update_options.order = record->order;
-      result = ApplyBatchUpdates(&base, request.updates_text,
-                                 std::move(session), &sink, update_options);
-      break;
-    }
-  }
-
-  if (result.ok() && !request.output_path.empty()) {
+  StringByteSink output_sink(&output);
+  if (request.return_output) job.output.sink = &output_sink;
+  if (!request.output_path.empty()) {
     if (scratch_ == nullptr) {
-      result = Status::InvalidArgument(
-          "output_path needs a service scratch_dir");
-    } else {
-      std::string staged = scratch_->NewPath(
-          "job" + std::to_string(record->status.id) + "-out");
-      result = WriteFileAtomic(scratch_.get(), staged, request.output_path,
-                               output);
+      return Status::InvalidArgument("output_path needs a service scratch_dir");
     }
+    job.output.path = request.output_path;
+    job.output.staging_path = scratch_->NewPath(
+        "job" + std::to_string(record->status.id) + "-out");
   }
 
-  if (result.ok()) {
+  SortJobResult result;
+  Status status = job.Run(std::move(session), &result);
+  if (!job.output.staging_path.empty()) {
+    // Renamed away or removed by the job either way; drop the path from
+    // the namespace's ledger so teardown does not touch the output.
+    (void)scratch_->Remove(job.output.staging_path);  // NotFound-only failure
+  }
+  if (status.ok()) {
     MutexLock guard(&lock_);
-    record->status.output_bytes = output.size();
+    record->status.output_bytes = result.output_bytes;
+    record->status.time_to_first_byte_ms = result.time_to_first_byte_ms;
     if (request.return_output) record->output = std::move(output);
   }
-  return result;
+  return status;
 }
 
 void SortService::FinishJob(JobRecord* record, const QueuedJob& queued,

@@ -27,6 +27,7 @@
 #include "env/sort_env.h"
 #include "extmem/run_store.h"
 #include "service/scheduler.h"
+#include "service/sort_job.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -64,7 +65,7 @@ struct ServiceOptions {
 };
 
 struct JobRequest {
-  enum class Kind { kSort, kMerge, kBatchUpdate };
+  using Kind = SortJob::Kind;
   Kind kind = Kind::kSort;
 
   std::string tenant = "default";
@@ -74,29 +75,26 @@ struct JobRequest {
   /// default spec.
   std::string order_text;
 
-  /// Sort / batch-update base document (inline text).
+  /// Sort / batch-update base document: a file the job streams from when
+  /// it runs, or else inline text.
+  std::string input_path;
   std::string input_text;
 
-  /// Merge inputs (already sorted by `order_text`), in merge order.
+  /// Merge inputs (already sorted by `order_text`), in merge order: the
+  /// inline texts, then the files.
   std::vector<std::string> input_texts;
+  std::vector<std::string> input_paths;
 
   /// Batch-update updates document.
   std::string updates_text;
 
-  /// When non-empty, the result is staged in the scratch namespace and
-  /// atomically renamed here on success.
+  /// When non-empty, the result streams into a staging file in the
+  /// scratch namespace, which is atomically renamed here on success.
   std::string output_path;
 
   /// Keep the result in memory for TakeOutput (socket clients that want
   /// the document back inline).
   bool return_output = false;
-
-  /// Sort jobs only: run the output phase through the pull-based
-  /// SortedStream instead of the eager Sort call. Output bytes are
-  /// identical; the job's status additionally reports
-  /// `time_to_first_byte_ms` — the latency until the first sorted chunk
-  /// surfaced — in `nexsortd-stats-v1`.
-  bool stream = false;
 };
 
 struct JobStatus {
@@ -114,14 +112,14 @@ struct JobStatus {
   double start_seconds = -1;   // < 0 while queued
   double finish_seconds = -1;  // < 0 until terminal
 
+  /// Inline documents' sizes plus input files' sizes at submit.
   uint64_t input_bytes = 0;
   uint64_t output_bytes = 0;
   uint64_t session_id = 0;  // SortEnv session the job ran in
   bool has_session = false;
 
-  /// Streaming sort jobs: milliseconds from job start to the first sorted
-  /// output chunk (< 0 until the first chunk lands).
-  bool streamed = false;
+  /// Done sort jobs: milliseconds from job start to the first sorted
+  /// output chunk (< 0 otherwise).
   double time_to_first_byte_ms = -1;
 
   [[nodiscard]] bool terminal() const {
@@ -149,8 +147,10 @@ class SortService {
   SortService(const SortService&) = delete;
   SortService& operator=(const SortService&) = delete;
 
-  /// Queue a job. On backpressure rejection returns OutOfMemory and sets
-  /// *retry_after_ms; on success *job_id identifies the job from now on.
+  /// Queue a job. Input files must open now (IOError "cannot open <path>"
+  /// otherwise) and are read when the job runs. On backpressure rejection
+  /// returns OutOfMemory and sets *retry_after_ms; on success *job_id
+  /// identifies the job from now on.
   [[nodiscard]] Status Submit(JobRequest request, uint64_t* job_id,
                               uint64_t* retry_after_ms = nullptr);
 

@@ -1,9 +1,9 @@
 // SortedStream: pull-based sorted output (docs/RUN_FORMATION.md). Eager
 // sorting APIs materialize the whole output before the caller sees byte
 // one; a SortedStream instead hands out sorted bytes incrementally as the
-// final merge / output traversal produces them, so a serving layer
-// (xmlsort --stream, nexsortd's stream job mode) measures time-to-first-
-// byte instead of batch latency. Contract:
+// final merge / output traversal produces them, so a job (service/sort_job.h)
+// streams its output to a file as it is produced and measures time to
+// first byte as well as batch latency. Contract:
 //
 //  * Next() returns true and a non-empty chunk (valid until the next call)
 //    while output remains, false exactly once at the end;
@@ -15,6 +15,7 @@
 //    resource through normal RAII unwind — no Finish call required.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <string_view>
 
@@ -96,13 +97,21 @@ class ChunkedSortedStream : public SortedStream {
   bool done_ = false;        // the final false has been returned
 };
 
-/// Append every remaining chunk of `stream` to `output`: the eager form of
-/// a streaming sort.
-[[nodiscard]] inline Status DrainTo(SortedStream* stream, ByteSink* output) {
+/// Append every remaining chunk of `stream` to `output`: the one chunk
+/// loop, behind every eager sort and every job. When `first_chunk` is
+/// given, it receives the time the first chunk surfaced (left untouched
+/// when the stream is empty).
+[[nodiscard]] inline Status DrainTo(
+    SortedStream* stream, ByteSink* output,
+    std::chrono::steady_clock::time_point* first_chunk = nullptr) {
   std::string_view chunk;
   while (true) {
     ASSIGN_OR_RETURN(bool more, stream->Next(&chunk));
     if (!more) return Status::OK();
+    if (first_chunk != nullptr) {
+      *first_chunk = std::chrono::steady_clock::now();
+      first_chunk = nullptr;
+    }
     RETURN_IF_ERROR(output->Append(chunk));
   }
 }

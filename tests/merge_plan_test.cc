@@ -355,9 +355,10 @@ TEST(MergePolicyIdentity, KeyPathSorterByteIdentical) {
 }
 
 // Wire compatibility: a submit that still carries the retired
-// "merge_policy" / "dfs_placement" fields (older clients sent them) is
-// accepted — the daemon ignores request fields it does not read — and
-// sorted with the one merge schedule, byte-identical to a plain request.
+// "merge_policy" / "dfs_placement" / "stream" fields (older clients sent
+// them) is accepted — the daemon ignores request fields it does not read —
+// and sorted with the one merge schedule, byte-identical to a plain
+// request; both report their time to first byte, as every sort job does.
 TEST(MergePolicyIdentity, ServiceJobsByteIdenticalAcrossPolicies) {
   ServiceOptions options;
   options.env.block_size = 1024;
@@ -393,6 +394,8 @@ TEST(MergePolicyIdentity, ServiceJobsByteIdenticalAcrossPolicies) {
       writer.String("greedy");
       writer.Key("dfs_placement");
       writer.Bool(false);
+      writer.Key("stream");
+      writer.Bool(true);
     }
     writer.EndObject();
     auto client = ServiceClient::Connect(socket_path);
@@ -405,6 +408,9 @@ TEST(MergePolicyIdentity, ServiceJobsByteIdenticalAcrossPolicies) {
         << response.value().GetString("error");
     const JsonValue* job = response.value().Find("job");
     EXPECT_TRUE(job != nullptr && job->GetString("state") == "done");
+    EXPECT_TRUE(job != nullptr && job->Find("time_to_first_byte_ms") &&
+                job->GetDouble("time_to_first_byte_ms") >= 0)
+        << "every sort job reports its time to first byte";
     return response.value().GetString("output");
   };
   const std::string plain = submit(/*retired_fields=*/false);

@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +41,7 @@ class ServiceSocketTest : public ::testing::Test {
     options.env.block_size = 1024;
     options.env.memory_blocks = 72;
     options.executors = 3;
+    options.scratch_dir = scratch_dir_;
     auto service = SortService::Create(std::move(options));
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     service_ = std::move(service).value();
@@ -60,6 +63,7 @@ class ServiceSocketTest : public ::testing::Test {
     return client.value()->Call(request);
   }
 
+  std::string scratch_dir_;  // set before SetUp for path-output jobs
   std::string socket_path_;
   std::unique_ptr<SortService> service_;
   std::unique_ptr<SocketServer> server_;
@@ -247,6 +251,144 @@ TEST_F(ServiceSocketTest, ShutdownOpSignalsTheDaemonLoop) {
   EXPECT_TRUE(response.value().GetBool("ok"));
   EXPECT_TRUE(server_->shutdown_requested());
   EXPECT_TRUE(server_->WaitForShutdownRequest()) << "returns without block";
+}
+
+// Path jobs: the daemon streams `input_path` / `input_paths` from their
+// files when the job runs and streams the result into a staging file in
+// its scratch namespace, renamed onto `output` on success.
+class ServiceSocketPathJobTest : public ServiceSocketTest {
+ protected:
+  ServiceSocketPathJobTest() {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("nexsortd_path_jobs_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    scratch_dir_ = (dir_ / "scratch").string();
+  }
+  ~ServiceSocketPathJobTest() override { std::filesystem::remove_all(dir_); }
+
+  std::string WriteFile(const std::string& name, const std::string& text) {
+    std::string path = (dir_ / name).string();
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+  }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(ServiceSocketPathJobTest, SortWithInputPathAndOutputMatchesDirectRun) {
+  const std::string xml = ShuffledDoc(500, 17);
+  const std::string input = WriteFile("in.xml", xml);
+  const std::string output = (dir_ / "out.xml").string();
+  JsonWriter writer;
+  writer.BeginObject();
+  writer.Key("op");
+  writer.String("submit");
+  writer.Key("order");
+  writer.String("item:attr(id)n");
+  writer.Key("input_path");
+  writer.String(input);
+  writer.Key("output");
+  writer.String(output);
+  writer.Key("wait");
+  writer.Bool(true);
+  writer.EndObject();
+  auto response = Call(std::move(writer).Take());
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response.value().GetBool("ok"))
+      << response.value().GetString("error");
+  const JsonValue* job = response.value().Find("job");
+  ASSERT_NE(job, nullptr);
+  ASSERT_EQ(job->GetString("state"), "done") << job->GetString("error");
+
+  const SortEnvOptions& service_env = service_->env()->options();
+  SortEnvOptions solo;
+  solo.block_size = service_env.block_size;
+  solo.memory_blocks = service_env.memory_blocks;
+  solo.sort_memory_blocks = service_env.sort_memory_blocks;
+  Env env(solo);
+  auto spec = ParseOrderSpec("item:attr(id)n");
+  ASSERT_TRUE(spec.ok());
+  NexSortOptions sort_options;
+  sort_options.order = *spec;
+  NexSorter sorter(env.get(), sort_options);
+  StringByteSource source(xml);
+  std::string expected;
+  StringByteSink sink(&expected);
+  NEX_ASSERT_OK(sorter.Sort(&source, &sink));
+
+  EXPECT_EQ(ReadFile(output), expected);
+  EXPECT_EQ(job->GetUint("input_bytes"), xml.size());
+  EXPECT_EQ(job->GetUint("output_bytes"), expected.size());
+  EXPECT_NE(job->Find("time_to_first_byte_ms"), nullptr);
+  // The staging file was renamed away: only the env's device file remains.
+  size_t staged = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(scratch_dir_)) {
+    staged += entry.path().string().find("-out.") != std::string::npos;
+  }
+  EXPECT_EQ(staged, 0u);
+}
+
+TEST_F(ServiceSocketPathJobTest, MergeWithInputPathsMatchesInlineInputs) {
+  const std::vector<std::string> docs = {
+      R"(<l><e id="1"/><e id="3"><a>x</a></e><e id="5"/></l>)",
+      R"(<l><e id="2"/><e id="3"><b>y</b></e><e id="6"/></l>)"};
+  auto merge = [&](const char* key, const std::vector<std::string>& items) {
+    JsonWriter writer;
+    writer.BeginObject();
+    writer.Key("op");
+    writer.String("submit");
+    writer.Key("kind");
+    writer.String("merge");
+    writer.Key("order");
+    writer.String("*:attr(id)n");
+    writer.Key(key);
+    writer.BeginArray();
+    for (const std::string& item : items) writer.String(item);
+    writer.EndArray();
+    writer.Key("wait");
+    writer.Bool(true);
+    writer.Key("return_output");
+    writer.Bool(true);
+    writer.EndObject();
+    auto response = Call(std::move(writer).Take());
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return std::string();
+    EXPECT_TRUE(response.value().GetBool("ok"))
+        << response.value().GetString("error");
+    const JsonValue* job = response.value().Find("job");
+    EXPECT_TRUE(job != nullptr && job->GetString("state") == "done");
+    return response.value().GetString("output");
+  };
+  const std::string inline_output = merge("input_texts", docs);
+  const std::string path_output =
+      merge("input_paths", {WriteFile("a.xml", docs[0]),
+                            WriteFile("b.xml", docs[1])});
+  EXPECT_FALSE(inline_output.empty());
+  EXPECT_EQ(path_output, inline_output);
+}
+
+TEST_F(ServiceSocketPathJobTest, MissingInputPathFailsAtSubmit) {
+  const std::string missing = (dir_ / "missing.xml").string();
+  const std::string expected =
+      Status::IOError("cannot open " + missing).ToString();
+  for (const std::string& field :
+       {R"("input_path":")" + missing + R"(")",
+        R"("kind":"merge","input_paths":[")" + missing + R"("])"}) {
+    auto response = Call(R"({"op":"submit",)" + field + "}");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response.value().GetBool("ok", true));
+    EXPECT_EQ(response.value().GetString("error"), expected);
+  }
+  auto jobs = Call(R"({"op":"jobs"})");
+  ASSERT_TRUE(jobs.ok());
+  EXPECT_TRUE(jobs.value().Find("jobs")->array_items().empty());
 }
 
 }  // namespace

@@ -515,47 +515,41 @@ TEST(SortService, SortJobMatchesDirectRunByteForByte) {
   EXPECT_FALSE(service.TakeOutput(job_id).ok()) << "output moves out once";
 }
 
-// A streamed sort job (pull-based SortedStream output path) must produce
-// the same bytes as an eager one, while additionally reporting time to
-// first byte. The two jobs run concurrently on the two executors.
+// Every sort job streams its output through the pull-based SortedStream:
+// the bytes match an eager direct NexSorter run, and the job reports its
+// time to first byte, within its run time. The two jobs run concurrently
+// on the two executors.
 TEST(SortService, StreamedSortJobMatchesEagerByteForByte) {
   auto service_or = SortService::Create(SmallServiceOptions());
   ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
   auto& service = *service_or.value();
 
   std::string xml = ManyElements(400);
-  JobRequest eager;
-  eager.order_text = "item:attr(id)n";
-  eager.input_text = xml;
-  eager.return_output = true;
-  JobRequest streamed = eager;
-  streamed.stream = true;
-  uint64_t eager_id = 0;
-  uint64_t streamed_id = 0;
-  NEX_ASSERT_OK(service.Submit(std::move(eager), &eager_id));
-  NEX_ASSERT_OK(service.Submit(std::move(streamed), &streamed_id));
-
-  auto eager_done = service.Wait(eager_id);
-  auto streamed_done = service.Wait(streamed_id);
-  ASSERT_TRUE(eager_done.ok()) << eager_done.status().ToString();
-  ASSERT_TRUE(streamed_done.ok()) << streamed_done.status().ToString();
-  ASSERT_EQ(eager_done.value().state, JobStatus::State::kDone)
-      << eager_done.value().error;
-  ASSERT_EQ(streamed_done.value().state, JobStatus::State::kDone)
-      << streamed_done.value().error;
-
-  EXPECT_FALSE(eager_done.value().streamed);
-  EXPECT_TRUE(streamed_done.value().streamed);
-  EXPECT_GE(streamed_done.value().time_to_first_byte_ms, 0.0)
-      << "a completed streamed job must have seen its first byte";
-
-  auto eager_out = service.TakeOutput(eager_id);
-  auto streamed_out = service.TakeOutput(streamed_id);
-  ASSERT_TRUE(eager_out.ok()) << eager_out.status().ToString();
-  ASSERT_TRUE(streamed_out.ok()) << streamed_out.status().ToString();
-  EXPECT_EQ(streamed_out.value(), eager_out.value());
-  EXPECT_EQ(eager_out.value(),
-            DirectSort(xml, "item:attr(id)n", service.env()->options()));
+  std::vector<uint64_t> ids(2);
+  for (uint64_t& id : ids) {
+    JobRequest request;
+    request.order_text = "item:attr(id)n";
+    request.input_text = xml;
+    request.return_output = true;
+    NEX_ASSERT_OK(service.Submit(std::move(request), &id));
+  }
+  const std::string eager =
+      DirectSort(xml, "item:attr(id)n", service.env()->options());
+  for (uint64_t id : ids) {
+    auto done = service.Wait(id);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    ASSERT_EQ(done.value().state, JobStatus::State::kDone)
+        << done.value().error;
+    EXPECT_GE(done.value().time_to_first_byte_ms, 0.0)
+        << "a done sort job must report its first byte";
+    EXPECT_LE(done.value().time_to_first_byte_ms,
+              (done.value().finish_seconds - done.value().start_seconds) *
+                  1e3);
+    EXPECT_EQ(done.value().output_bytes, eager.size());
+    auto output = service.TakeOutput(id);
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+    EXPECT_EQ(output.value(), eager);
+  }
 }
 
 TEST(SortService, StreamedJobCancelIsTerminalAndClean) {
@@ -569,19 +563,20 @@ TEST(SortService, StreamedJobCancelIsTerminalAndClean) {
   request.order_text = "item:attr(id)n";
   request.input_text = ManyElements(3000);  // big enough to outlive Cancel
   request.return_output = true;
-  request.stream = true;
   uint64_t job_id = 0;
   NEX_ASSERT_OK(service.Submit(std::move(request), &job_id));
   NEX_ASSERT_OK(service.Cancel(job_id));
   auto done = service.Wait(job_id);
   ASSERT_TRUE(done.ok());
   EXPECT_TRUE(done.value().terminal());
-  EXPECT_TRUE(done.value().streamed);
   if (done.value().state == JobStatus::State::kCancelled) {
     EXPECT_FALSE(done.value().error.empty());
+    EXPECT_LT(done.value().time_to_first_byte_ms, 0.0)
+        << "only a done job reports its first byte";
     EXPECT_FALSE(service.TakeOutput(job_id).ok());
   } else {
     EXPECT_EQ(done.value().state, JobStatus::State::kDone);
+    EXPECT_GE(done.value().time_to_first_byte_ms, 0.0);
   }
 }
 
@@ -633,19 +628,6 @@ TEST(SortService, TerminalJobsReleaseTheirInputs) {
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   EXPECT_EQ(output.value(),
             DirectSort(xml, "item:attr(id)n", service.env()->options()));
-}
-
-TEST(SortService, StreamRejectedForNonSortJobs) {
-  auto service_or = SortService::Create(SmallServiceOptions());
-  ASSERT_TRUE(service_or.ok());
-  JobRequest request;
-  request.kind = JobRequest::Kind::kMerge;
-  request.order_text = "*:attr(id)n";
-  request.input_texts = {"<l><e id=\"1\"/></l>", "<l><e id=\"2\"/></l>"};
-  request.stream = true;
-  uint64_t job_id = 0;
-  EXPECT_FALSE(service_or.value()->Submit(std::move(request), &job_id).ok())
-      << "stream mode applies to sort jobs only";
 }
 
 TEST(SortService, MergeAndBatchUpdateJobsMatchDirectRuns) {
